@@ -45,7 +45,6 @@ from .recomb import (
     elimination_step,
     find_null_vector,
     reduce,
-    reduce_streaming,
 )
 from .verify import VerificationReport, verify_cubature
 
@@ -83,7 +82,6 @@ __all__ = [
     "moment_vector",
     "moments_to_dict",
     "reduce",
-    "reduce_streaming",
     "truncated_moment_feasible",
     "verify_cubature",
 ]

@@ -50,7 +50,6 @@ class RunConfig:
     num_vars: int | None = None
     degree_weights: list[int] | None = None
     max_degree: int | None = None
-    buffer_factor: int = 8
     tol: float = 1e-8
     mass_tol: float = 1e-12
     feas_tol: float = 1e-9
@@ -63,8 +62,6 @@ class RunConfig:
     def __post_init__(self):
         if self.tol <= 0.0 or self.mass_tol <= 0.0 or self.feas_tol <= 0.0:
             raise CliError("tolerances must be positive")
-        if self.buffer_factor < 2:
-            raise CliError(f"buffer_factor must be >= 2, got {self.buffer_factor}")
 
 
 def _read_config_file(path: str) -> dict:
@@ -112,7 +109,6 @@ def _build_run_config(args: argparse.Namespace) -> RunConfig:
             num_vars=_pick(getattr(args, "num_vars", None), basis_block, "num_vars", None),
             degree_weights=degree_weights,
             max_degree=_pick(getattr(args, "degree", None), basis_block, "max_degree", None),
-            buffer_factor=int(_pick(args.buffer_factor, config, "buffer_factor", 8)),
             tol=float(_pick(args.tol, config, "tol", 1e-8)),
             mass_tol=float(_pick(getattr(args, "mass_tol", None), config, "mass_tol", 1e-12)),
             feas_tol=float(_pick(getattr(args, "feas_tol", None), config, "feas_tol", 1e-9)),
@@ -172,11 +168,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
     basis = _require_basis(cfg, measure)
     try:
         cubature, report = cubature_of_degree(
-            measure,
-            basis.num_vars,
-            basis.degree_fn.weights,
-            basis.max_degree,
-            buffer_factor=cfg.buffer_factor,
+            measure, basis.num_vars, basis.degree_fn.weights, basis.max_degree
         )
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise CliError(f"reduction failed: {exc}") from exc
@@ -343,8 +335,6 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out-dir", dest="out_dir", help="directory for output files")
         p.add_argument("--tol", type=float, help="verification tolerance")
-        p.add_argument("--buffer-factor", dest="buffer_factor", type=int,
-                       help="streaming working-set size as a multiple of the basis dimension")
 
     for name, text in [
         ("reduce", "compress a measure into a cubature formula"),

@@ -251,6 +251,11 @@ def _dictionary_block(features: FunctionDictionary, pts: np.ndarray, offset: int
             raise ValueError(
                 f"feature evaluation failed at atom {offset + a}: {exc}"
             ) from exc
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        raise ValueError(
+            f"feature evaluation gave a non-finite value at atom {offset + int(bad.argmax())}"
+        )
     return out
 
 

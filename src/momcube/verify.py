@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MonomialBasis
 from .measure import DiscreteMeasure, Features, feature_count, moment_vector
 from .recomb import Cubature
 
@@ -104,8 +103,3 @@ def verify_cubature(
         cardinality_ok=cardinality_ok,
         mass_gap_rel=mass_gap_rel,
     )
-
-
-def is_monomial_features(features: Features) -> bool:
-    """Whether mass conservation is a hard moment (constant feature present)."""
-    return isinstance(features, MonomialBasis)

@@ -2,7 +2,7 @@
 
 Criteria 1-4 share a 200-case randomized measure suite (session fixture).
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the per-criterion
-lines and the measured streaming time.
+lines and the measured 10^6-atom reduction time.
 """
 
 import itertools
@@ -23,7 +23,6 @@ from momcube import (
     hull_membership,
     moment_vector,
     reduce,
-    reduce_streaming,
     verify_cubature,
 )
 from momcube.cli import main as cli_main
@@ -248,24 +247,19 @@ class TestAcceptance:
         measure = DiscreteMeasure(
             rng.uniform(-10, 10, (100_000, 3)), rng.uniform(0.1, 2.0, 100_000)
         )
-        for label, run in [
-            ("reduce", lambda: reduce(measure, basis)),
-            ("stream-2", lambda: reduce_streaming(measure, basis, 2)),
-            ("stream-8", lambda: reduce_streaming(measure, basis, 8)),
-        ]:
-            cubature, _ = run()
-            verification = verify_cubature(measure, cubature, basis, MOMENT_TOL)
-            assert 1 <= cubature.num_nodes <= basis.dimension, label
-            assert verification.max_residual_rel <= MOMENT_TOL, label
-            assert (cubature.weights > 0).all(), label
-            assert verification.support_ok, label
-            assert verification.mass_gap_rel <= MASS_TOL, label
+        cubature, _ = reduce(measure, basis)
+        verification = verify_cubature(measure, cubature, basis, MOMENT_TOL)
+        assert 1 <= cubature.num_nodes <= basis.dimension
+        assert verification.max_residual_rel <= MOMENT_TOL
+        assert (cubature.weights > 0).all()
+        assert verification.support_ok
+        assert verification.mass_gap_rel <= MASS_TOL
 
         big = DiscreteMeasure(
             rng.uniform(-10, 10, (1_000_000, 3)), rng.uniform(0.1, 2.0, 1_000_000)
         )
         started = time.perf_counter()
-        cubature, report = reduce_streaming(big, basis, 2)
+        cubature, report = reduce(big, basis)
         elapsed = time.perf_counter() - started
         verification = verify_cubature(big, cubature, basis, MOMENT_TOL)
         assert cubature.num_nodes <= basis.dimension
@@ -273,7 +267,7 @@ class TestAcceptance:
         assert verification.mass_gap_rel <= MASS_TOL
         within = "within" if elapsed < 60.0 else "OVER"
         print(
-            f"\nACCEPTANCE 09 streaming-scale: PASS "
+            f"\nACCEPTANCE 09 windowed-scale: PASS "
             f"(10^6 atoms in {elapsed:.1f}s, {within} the 60s soft target)"
         )
 

@@ -14,7 +14,6 @@ from momcube import (
     find_null_vector,
     moment_vector,
     reduce,
-    reduce_streaming,
     verify_cubature,
 )
 from oracles import enumerate_positive_cubatures, fsum_moments
@@ -217,20 +216,13 @@ class TestReduce:
 
 
 class TestReduceStreaming:
-    def test_small_input_identical_to_reduce(self):
-        rng = np.random.default_rng(47)
-        measure = DiscreteMeasure(rng.uniform(-1, 1, (4, 2)), rng.uniform(0.5, 1, 4))
-        basis = build_basis(2, [1, 1], 2)
-        direct, _ = reduce(measure, basis)
-        streamed, _ = reduce_streaming(measure, basis, buffer_factor=2)
-        np.testing.assert_array_equal(direct.node_indices, streamed.node_indices)
-        np.testing.assert_array_equal(direct.weights, streamed.weights)
+    """reduce on inputs far larger than its working set."""
 
     def test_large_grid_matches_direct_sums(self):
         pts = np.linspace(0.0, 1.0, 10_000)
         measure = _unit_grid_measure(pts)
         basis = build_basis(1, [1], 4)
-        cubature, report = reduce_streaming(measure, basis, buffer_factor=2)
+        cubature, report = reduce(measure, basis)
         assert cubature.num_nodes <= 5
         target = fsum_moments(measure.atoms, measure.weights, basis.indices)
         achieved = np.array(
@@ -244,20 +236,24 @@ class TestReduceStreaming:
         )
         np.testing.assert_allclose(achieved, target, rtol=1e-10)
 
-    def test_buffer_factors_share_the_contract(self):
-        rng = np.random.default_rng(53)
-        measure = DiscreteMeasure(rng.uniform(-2, 2, (500, 2)), rng.uniform(0.1, 1, 500))
-        basis = build_basis(2, [1, 1], 3)
-        for factor in (2, 8):
-            cubature, _ = reduce_streaming(measure, basis, buffer_factor=factor)
-            verification = verify_cubature(measure, cubature, basis, 1e-8)
-            assert verification.passes(1e-8, 1e-12)
+    def test_dictionary_error_names_the_global_atom(self):
+        def failing_at_150(x):
+            if x[0] == 150.0:
+                raise RuntimeError("boom")
+            return np.array([1.0, x[0]])
 
-    @pytest.mark.parametrize("bad", [1, 0, -3, 2.5, "4"])
-    def test_rejects_bad_buffer_factor(self, bad):
-        measure = _unit_grid_measure([0, 1])
-        with pytest.raises(ValueError):
-            reduce_streaming(measure, build_basis(1, [1], 1), buffer_factor=bad)
+        measure = _unit_grid_measure(np.arange(200))
+        with pytest.raises(ValueError, match=r"atom 150\b"):
+            reduce(measure, FunctionDictionary(2, failing_at_150))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_dictionary_features(self, bad):
+        measure = _unit_grid_measure(np.linspace(0.0, 1.0, 201))
+        features = FunctionDictionary(
+            2, lambda x: np.array([1.0, x[0] if x[0] <= 0.5 else bad])
+        )
+        with pytest.raises(ValueError, match=r"non-finite value at atom 101\b"):
+            reduce(measure, features)
 
 
 class TestCubatureOfDegree:
@@ -307,6 +303,16 @@ class TestCubatureOfDegree:
         np.testing.assert_array_equal(first.node_indices, second.node_indices)
         np.testing.assert_array_equal(first.weights, second.weights)
         np.testing.assert_array_equal(first.nodes, second.nodes)
+
+    def test_large_input_matches_reduce(self):
+        rng = np.random.default_rng(5)
+        measure = DiscreteMeasure(rng.uniform(-1, 1, (400, 2)), rng.uniform(0.1, 2, 400))
+        # D = 10: 400 atoms pass through several 64-column working sets.
+        basis = build_basis(2, [1, 1], 3)
+        direct, _ = reduce(measure, basis)
+        cubature, _ = cubature_of_degree(measure, 2, [1, 1], 3)
+        np.testing.assert_array_equal(cubature.node_indices, direct.node_indices)
+        np.testing.assert_array_equal(cubature.weights, direct.weights)
 
     def test_degree_zero_single_node_total_mass(self):
         measure = _unit_grid_measure([3, 4, 5])
