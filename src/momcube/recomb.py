@@ -1,6 +1,6 @@
 """Carathéodory recombination: thin a discrete measure onto few of its atoms.
 
-The engine repeatedly finds a null vector of the active atoms' feature
+The kernel repeatedly finds a null vector of the active atoms' feature
 columns (rank-revealing QR with column pivoting) and applies a
 positivity-preserving pivot that zeroes at least one weight, until the
 surviving columns have full rank.  The weighted feature sums are invariant
@@ -8,11 +8,15 @@ under every step, so the survivors form a cubature formula: at most D
 nodes drawn from the original atoms, strictly positive weights, and the
 same moments as the input measure.
 
-Atoms enter a bounded working set in index order (fill, reduce, append
-the next chunk), so each elimination refactorizes O(D) columns however
-many atoms the measure holds, and the whole reduction is a single
-deterministic left-to-right sweep.  The measure itself stays in memory;
-only the elimination working set is bounded.
+Large inputs go through tree recombination (Litterer & Lyons 2012;
+Maalouf, Jubran & Feldman 2019) rather than one elimination per atom.
+Atoms are consumed in contiguous chunks of 65,536; each level splits the
+current atoms into 2D contiguous groups, runs the kernel on the D x 2D
+weighted group means, rescales the atom weights of the at most D
+surviving groups and drops the rest, so every level costs one small
+reduction and roughly halves the atoms.  A chunk's survivors are carried
+into the next chunk.  Memory beyond the measure itself is O(D * 65,536);
+grouping is fixed and no step is random, so reruns are identical.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from scipy.linalg import lapack
 
 from .basis import MonomialBasis, build_basis
 from .measure import (
+    _CHUNK,
     DiscreteMeasure,
     Features,
     _feature_block,
@@ -38,7 +43,8 @@ from .measure import (
 _EPS = np.finfo(float).eps
 
 # Every elimination refactorizes the whole working set, so a larger window
-# only costs time: keep it O(D).
+# only costs time: keep it O(D).  It is at least 2D, so the tree's base case
+# and every group-mean reduction fit in one window.
 def _working_cap(dim: int) -> int:
     return max(2 * (dim + 1), 64)
 
@@ -111,7 +117,15 @@ class Cubature:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """What the sweep did: sizes, steps, rank, and the achieved residual."""
+    """What the reduction did: sizes, steps, rank, and the achieved residual.
+
+    ``elimination_steps`` counts every pivot the kernel applied: group
+    eliminations on the tree levels' group means plus the eliminations of
+    the base cases (and of any level that fell back to the windowed sweep).
+    ``tree_levels`` counts the group-mean levels that removed groups, and
+    ``rank_tol_factor`` is the factor by which the internal rescale loosened
+    every rank decision (1 for dictionaries, which are not rescaled).
+    """
 
     initial_atoms: int
     final_atoms: int
@@ -119,6 +133,8 @@ class ReductionReport:
     detected_rank: int
     max_moment_residual_rel: float
     rescaling: dict | None
+    tree_levels: int
+    rank_tol_factor: float
 
     def to_dict(self) -> dict:
         return {
@@ -128,6 +144,8 @@ class ReductionReport:
             "detected_rank": self.detected_rank,
             "max_moment_residual_rel": self.max_moment_residual_rel,
             "rescaling": self.rescaling,
+            "tree_levels": self.tree_levels,
+            "rank_tol_factor": self.rank_tol_factor,
         }
 
 
@@ -260,18 +278,15 @@ def _sweep(
 ):
     """Deterministic left-to-right reduction with a bounded working set.
 
-    Returns (surviving atom indices, surviving weights, elimination steps,
-    detected rank of the full column set).  ``tol_factor`` loosens rank
-    decisions by the noise amplification an internal coordinate rescale
-    introduced, so directions below input rounding noise do not count.
+    Returns (surviving atom indices, surviving weights, elimination steps).
+    ``tol_factor`` loosens rank decisions by the noise amplification an
+    internal coordinate rescale introduced, so directions below input
+    rounding noise do not count.
     """
     take = min(cap, num_atoms)
     idx = np.arange(take)
     w = weights[:take].astype(float, copy=True)
     cols = make_columns(idx)
-    dim = cols.shape[0]
-    tracker = _SpanTracker(dim, tol_factor)
-    tracker.add(cols)
     pos = take
     steps = 0
 
@@ -305,16 +320,100 @@ def _sweep(
             # cap rather than dropping unprocessed atoms or spinning.
             take = min(cap, num_atoms - pos)
         new_idx = np.arange(pos, pos + take)
-        new_cols = make_columns(new_idx)
-        tracker.add(new_cols)
         idx = np.concatenate([idx, new_idx])
         w = np.concatenate([w, weights[pos:pos + take]])
-        cols = np.concatenate([cols, new_cols], axis=1)
+        cols = np.concatenate([cols, make_columns(new_idx)], axis=1)
         pos += take
 
+    return idx, w, steps
+
+
+def _tree(
+    cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float
+):
+    """Tree recombination of one in-memory column set.
+
+    Returns (surviving column positions, surviving weights, elimination
+    steps, tree levels).  Each level reduces the 2D contiguous groups'
+    weighted means with ``_sweep`` and keeps the atoms of surviving groups,
+    rescaled by new group mass over old; at most 2D atoms go to ``_sweep``
+    as the base case.
+    """
+    dim = cols.shape[0]
+    groups = 2 * dim
+    cap = _working_cap(dim)
+    pos = np.arange(weights.shape[0])
+    w = weights
+    steps = levels = 0
+    while pos.shape[0] > groups:
+        bounds = (np.arange(groups + 1) * pos.shape[0]) // groups
+        mass = np.add.reduceat(w, bounds[:-1])
+        means = np.empty((dim, groups))
+        for g in range(groups):
+            lo, hi = bounds[g], bounds[g + 1]
+            means[:, g] = cols[:, pos[lo:hi]] @ w[lo:hi]
+        means /= mass
+        kept, new_mass, s = _sweep(
+            lambda i: means[:, i], groups, mass, cap, project_constant, tol_factor
+        )
+        steps += s
+        if kept.shape[0] == groups:
+            # The cancellation guard removed no group: hand these atoms to
+            # the windowed sweep, which handles cancelling sums as it can.
+            break
+        levels += 1
+        factor = np.zeros(groups)
+        factor[kept] = new_mass / mass[kept]
+        w = w * np.repeat(factor, np.diff(bounds))
+        live = w > 0.0
+        pos = pos[live]
+        w = w[live]
+    sub, w, s = _sweep(lambda i: cols[:, pos[i]], pos.shape[0], w, cap,
+                       project_constant, tol_factor)
+    return pos[sub], w, steps + s, levels
+
+
+def _tree_sweep(
+    make_columns: Callable[[np.ndarray], np.ndarray],
+    num_atoms: int,
+    weights: np.ndarray,
+    dim: int,
+    project_constant: bool,
+    tol_factor: float,
+):
+    """Tree recombination over contiguous chunks of ``_CHUNK`` atoms.
+
+    Returns (surviving atom indices, surviving weights, elimination steps,
+    tree levels, detected rank of the full column set).  Each chunk's
+    survivors are carried into the next chunk, so memory stays
+    O(D * _CHUNK) whatever the number of atoms.
+    """
+    tracker = _SpanTracker(dim, tol_factor)
+    idx = np.empty(0, dtype=np.int64)
+    w = np.empty(0)
+    carried = np.empty((dim, 0))
+    steps = levels = 0
+    for start in range(0, num_atoms, _CHUNK):
+        stop = min(start + _CHUNK, num_atoms)
+        chunk = np.arange(start, stop)
+        cols = make_columns(chunk)
+        # Small slices keep the tracker's QR workspace O(D^2).
+        for lo in range(0, chunk.shape[0], 2 * dim):
+            tracker.add(cols[:, lo:lo + 2 * dim])
+        chunk_w = weights[start:stop]
+        if idx.shape[0]:
+            chunk = np.concatenate([idx, chunk])
+            chunk_w = np.concatenate([w, chunk_w])
+            cols = np.concatenate([carried, cols], axis=1)
+        keep, w, s, lv = _tree(cols, chunk_w, project_constant, tol_factor)
+        idx = chunk[keep]
+        carried = cols[:, keep]
+        del cols  # freed before the next chunk's columns are built
+        steps += s
+        levels += lv
     # The final full-rank certificate proves the survivors are independent,
     # so the detected rank is at least their count.
-    return idx, w, steps, max(tracker.rank, int(idx.shape[0]))
+    return idx, w, steps, levels, max(tracker.rank, int(idx.shape[0]))
 
 
 def _noise_amplification(atoms: np.ndarray) -> float:
@@ -354,7 +453,7 @@ def _prepare(measure: DiscreteMeasure, features: Features):
         return make_columns, rescale, True, tol_factor
 
     def make_columns(idx: np.ndarray) -> np.ndarray:
-        # Windows are contiguous index ranges; errors name the global atom.
+        # Chunks are contiguous index ranges; errors name the global atom.
         return _feature_block(features, measure.atoms[idx], int(idx[0]))
 
     return make_columns, None, False, 1.0
@@ -366,8 +465,10 @@ def _finalize(
     idx: np.ndarray,
     w: np.ndarray,
     steps: int,
+    levels: int,
     detected_rank: int,
     rescale: AffineRescale | None,
+    tol_factor: float,
 ) -> tuple[Cubature, ReductionReport]:
     """Assemble output in original coordinates and measure the residual."""
     if isinstance(features, MonomialBasis):
@@ -395,6 +496,8 @@ def _finalize(
         detected_rank=detected_rank,
         max_moment_residual_rel=residual,
         rescaling=rescale.to_dict() if rescale is not None else None,
+        tree_levels=levels,
+        rank_tol_factor=tol_factor,
     )
     return cubature, report
 
@@ -405,15 +508,25 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     D is the feature count.  Output nodes are original atoms (by index),
     weights are strictly positive, and every feature's weighted sum matches
     the input measure's; the achieved max relative residual is recorded in
-    the report.  Atoms are swept in index order through a working set of at
-    most max(2(D + 1), 64) columns, whatever the input size.
+    the report.  Atoms are reduced by tree recombination in chunks of
+    65,536, so extra memory is O(D * 65,536) whatever the input size.
+
+    Raises ValueError when the features' weighted sums cancel so that no
+    reduction to at most D atoms with positive weights was found (a zero
+    moment vector has no such cubature).
     """
     make_columns, rescale, has_constant, tol_factor = _prepare(measure, features)
-    cap = _working_cap(feature_count(features))
-    idx, w, steps, rank = _sweep(
-        make_columns, measure.num_atoms, measure.weights, cap, has_constant, tol_factor
+    dim = feature_count(features)
+    idx, w, steps, levels, rank = _tree_sweep(
+        make_columns, measure.num_atoms, measure.weights, dim, has_constant, tol_factor
     )
-    return _finalize(measure, features, idx, w, steps, rank, rescale)
+    if idx.shape[0] > dim:
+        raise ValueError(
+            f"reduction stopped at {idx.shape[0]} atoms, above the feature count "
+            f"D = {dim}: the weighted feature sums cancel, so no positive cubature "
+            "on at most D atoms was found"
+        )
+    return _finalize(measure, features, idx, w, steps, levels, rank, rescale, tol_factor)
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps this name whenever it

@@ -41,8 +41,12 @@ class TestReduceCommand:
         supports = {s for s, _ in valid}
         assert tuple(cubature["node_indices"]) in supports
 
+        assert set(cubature) == {"nodes", "weights", "degree", "basis", "node_indices"}
+
         report = json.loads((out / "reduction_report.json").read_text())
         assert report["initial_atoms"] == 5
+        assert report["tree_levels"] == 0  # 5 atoms fit the base case (2D = 6)
+        assert report["rank_tol_factor"] >= 1.0
         verification = json.loads((out / "verification_report.json").read_text())
         assert verification["max_residual_rel"] <= 1e-8
 

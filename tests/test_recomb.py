@@ -188,6 +188,15 @@ class TestReduce:
         )
         np.testing.assert_allclose(achieved, target, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.parametrize("per_side", [3, 100])
+    def test_cancelling_features_raise(self, per_side):
+        # x sums to zero over atoms symmetric about 0, and no single atom has
+        # x = 0, so no one-node positive cubature exists.
+        side = np.linspace(1.0, 2.0, per_side)
+        measure = _unit_grid_measure(np.concatenate([side, -side]))
+        with pytest.raises(ValueError, match="cancel"):
+            reduce(measure, FunctionDictionary(1, lambda x: np.array([x[0]])))
+
     def test_duplicate_atoms_merge(self):
         atoms = np.array([[1.0], [1.0], [1.0]])
         measure = DiscreteMeasure(atoms, np.array([1.0, 2.0, 3.0]))
@@ -235,6 +244,29 @@ class TestReduceStreaming:
             ]
         )
         np.testing.assert_allclose(achieved, target, rtol=1e-10)
+
+    def test_tree_keeps_elimination_count_low(self):
+        # One elimination per removed atom would be 99,980 steps here.
+        rng = np.random.default_rng(97)
+        measure = DiscreteMeasure(
+            rng.uniform(-10, 10, (100_000, 3)), rng.uniform(0.1, 2.0, 100_000)
+        )
+        cubature, report = reduce(measure, build_basis(3, [1, 1, 1], 3))
+        assert cubature.num_nodes <= 20
+        assert report.tree_levels > 0
+        assert report.elimination_steps < 10_000
+        assert report.rank_tol_factor >= 1.0
+        assert {"tree_levels", "rank_tol_factor"} <= set(report.to_dict())
+
+    def test_second_chunk_error_names_the_global_atom(self):
+        def failing_at_70000(x):
+            if x[0] == 70_000.0:
+                raise RuntimeError("boom")
+            return np.array([1.0, x[0]])
+
+        measure = _unit_grid_measure(np.arange(70_001))
+        with pytest.raises(ValueError, match=r"atom 70000\b"):
+            reduce(measure, FunctionDictionary(2, failing_at_70000))
 
     def test_dictionary_error_names_the_global_atom(self):
         def failing_at_150(x):
