@@ -314,8 +314,6 @@ def truncated_moment_feasible(
         points = grid.atoms
     else:
         points = np.atleast_2d(np.asarray(grid, dtype=float))
-        if points.shape[0] and points.shape[1] != num_vars and points.shape[1] == 1 and num_vars == 1:
-            points = points.reshape(-1, 1)
     if points.size == 0:
         raise ValueError("candidate support grid is empty")
     if points.shape[1] != num_vars:

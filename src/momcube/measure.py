@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, IO, Union
@@ -123,10 +124,6 @@ def feature_count(features: Features) -> int:
     return features.size
 
 
-def feature_id(features: Features) -> str:
-    return features.identifier
-
-
 def _open_text(source: Union[str, Path, IO]):
     """Yield (text-file object, should_close)."""
     if isinstance(source, (str, Path)):
@@ -142,8 +139,8 @@ def _open_text(source: Union[str, Path, IO]):
 
 
 def _parse_csv(text_file, num_vars):
-    atoms: list[list[float]] = []
-    weights: list[float] = []
+    atoms = array("d")
+    weights = array("d")
     ncols = None
     for lineno, raw in enumerate(text_file, start=1):
         line = raw.strip()
@@ -170,7 +167,7 @@ def _parse_csv(text_file, num_vars):
                 w = row[-1]
                 if w <= 0.0:
                     raise MeasureFormatError(f"line {lineno}: non-positive weight {w}")
-                atoms.append(row[:-1])
+                atoms.extend(row[:-1])
                 weights.append(w)
                 continue
             if ncols != num_vars:
@@ -178,14 +175,14 @@ def _parse_csv(text_file, num_vars):
                     f"line {lineno}: expected {num_vars} coordinate columns "
                     f"(+ optional weight), got {ncols}"
                 )
-        atoms.append(row)
+        atoms.extend(row)
         weights.append(1.0)
     return atoms, weights
 
 
 def _parse_jsonl(text_file, num_vars):
-    atoms: list[list[float]] = []
-    weights: list[float] = []
+    atoms = array("d")
+    weights = array("d")
     n = num_vars
     for lineno, raw in enumerate(text_file, start=1):
         line = raw.strip()
@@ -212,7 +209,7 @@ def _parse_jsonl(text_file, num_vars):
         w = obj.get("w", 1.0)
         if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0.0:
             raise MeasureFormatError(f"line {lineno}: non-positive weight {w!r}")
-        atoms.append(row)
+        atoms.extend(row)
         weights.append(float(w))
     return atoms, weights
 
@@ -237,9 +234,14 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     finally:
         if should_close:
             text_file.close()
-    if not atoms:
+    if not weights:
         raise MeasureFormatError("no atoms in input")
-    return DiscreteMeasure(np.array(atoms, dtype=float), np.array(weights, dtype=float))
+    # Rows were appended flat, one float per cell, so no Python object per row
+    # outlives the parse.
+    return DiscreteMeasure(
+        np.frombuffer(atoms, dtype=float).reshape(len(weights), -1),
+        np.frombuffer(weights, dtype=float),
+    )
 
 
 def _dictionary_block(features: FunctionDictionary, pts: np.ndarray, offset: int) -> np.ndarray:
@@ -299,4 +301,4 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> MomentVector:
         block = _feature_block(features, measure.atoms[start:stop], start)
         partial = (block * measure.weights[start:stop]).sum(axis=1)
         total, comp = _compensated_accumulate(total, comp, partial)
-    return MomentVector(values=total + comp, basis_or_dict_id=feature_id(features))
+    return MomentVector(values=total + comp, basis_or_dict_id=features.identifier)

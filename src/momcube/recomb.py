@@ -8,22 +8,29 @@ under every step, so the survivors form a cubature formula: at most D
 nodes drawn from the original atoms, strictly positive weights, and the
 same moments as the input measure.
 
-Large inputs go through tree recombination (Litterer & Lyons 2012;
-Maalouf, Jubran & Feldman 2019) rather than one elimination per atom.
-Atoms are consumed in contiguous chunks of 65,536; each level splits the
-current atoms into 2D contiguous groups, runs the kernel on the D x 2D
-weighted group means, rescales the atom weights of the at most D
-surviving groups and drops the rest, so every level costs one small
-reduction and roughly halves the atoms.  A chunk's survivors are carried
-into the next chunk.  Memory beyond the measure itself is O(D * 65,536);
-grouping is fixed and no step is random, so reruns are identical.
+The engine has three layers, all working on in-memory D x n column
+matrices:
+
+* ``reduce`` takes the atoms in contiguous chunks of 65,536, builds each
+  chunk's feature columns, carries the previous chunks' survivors into
+  the next chunk, and assembles the output in original coordinates.
+  Memory beyond the measure itself is O(D * 65,536).
+* ``_tree`` runs tree recombination (Litterer & Lyons 2012; Maalouf,
+  Jubran & Feldman 2019) on one column matrix rather than one elimination
+  per atom: each level splits the current atoms into 2D contiguous
+  groups, reduces the D x 2D weighted group means, rescales the atom
+  weights of the at most D surviving groups and drops the rest, so every
+  level costs one small reduction and roughly halves the atoms.
+* ``_sweep`` is the kernel above, applied left to right over a bounded
+  working set of columns.
+
+Grouping is fixed and no step is random, so reruns are identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -36,17 +43,10 @@ from .measure import (
     Features,
     _feature_block,
     feature_count,
-    feature_id,
     moment_vector,
 )
 
 _EPS = np.finfo(float).eps
-
-# Every elimination refactorizes the whole working set, so a larger window
-# only costs time: keep it O(D).  It is at least 2D, so the tree's base case
-# and every group-mean reduction fit in one window.
-def _working_cap(dim: int) -> int:
-    return max(2 * (dim + 1), 64)
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,8 @@ class AffineRescale:
     scale: np.ndarray
 
     @classmethod
-    def from_atoms(cls, atoms: np.ndarray) -> "AffineRescale":
-        lo = atoms.min(axis=0)
-        hi = atoms.max(axis=0)
+    def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "AffineRescale":
+        """The map sending the per-coordinate box [lo, hi] onto [-1, 1]."""
         shift = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         scale = np.where(half > 0.0, half, 1.0)
@@ -137,16 +136,7 @@ class ReductionReport:
     rank_tol_factor: float
 
     def to_dict(self) -> dict:
-        return {
-            "initial_atoms": self.initial_atoms,
-            "final_atoms": self.final_atoms,
-            "elimination_steps": self.elimination_steps,
-            "detected_rank": self.detected_rank,
-            "max_moment_residual_rel": self.max_moment_residual_rel,
-            "rescaling": self.rescaling,
-            "tree_levels": self.tree_levels,
-            "rank_tol_factor": self.rank_tol_factor,
-        }
+        return asdict(self)
 
 
 def _pivoted_qr(columns: np.ndarray):
@@ -269,31 +259,32 @@ class _SpanTracker:
 
 
 def _sweep(
-    make_columns: Callable[[np.ndarray], np.ndarray],
-    num_atoms: int,
+    cols: np.ndarray,
     weights: np.ndarray,
     cap: int,
     project_constant: bool,
     tol_factor: float = 1.0,
 ):
-    """Deterministic left-to-right reduction with a bounded working set.
+    """Deterministic left-to-right reduction of a D x n column matrix.
 
-    Returns (surviving atom indices, surviving weights, elimination steps).
+    At most ``cap`` columns are active at a time; once their columns are
+    linearly independent the next columns are taken in.  Returns (surviving
+    column positions, surviving weights, elimination steps).
     ``tol_factor`` loosens rank decisions by the noise amplification an
     internal coordinate rescale introduced, so directions below input
     rounding noise do not count.
     """
+    num_atoms = cols.shape[1]
     take = min(cap, num_atoms)
     idx = np.arange(take)
     w = weights[:take].astype(float, copy=True)
-    cols = make_columns(idx)
     pos = take
     steps = 0
 
     while True:
         # Reduce the working set until its columns are linearly independent.
         while idx.shape[0] >= 2:
-            qr_packed, pivots = _pivoted_qr(cols)
+            qr_packed, pivots = _pivoted_qr(cols[:, idx])
             c = _null_vector_from_qr(qr_packed, pivots, idx.shape[0], tol_factor)
             if c is None:
                 break
@@ -311,7 +302,6 @@ def _sweep(
             steps += 1
             idx = idx[keep]
             w = new_w[keep]
-            cols = cols[:, keep]
         if pos >= num_atoms:
             break
         take = min(cap - idx.shape[0], num_atoms - pos)
@@ -319,10 +309,8 @@ def _sweep(
             # The cancellation guard left a full window; let it grow past the
             # cap rather than dropping unprocessed atoms or spinning.
             take = min(cap, num_atoms - pos)
-        new_idx = np.arange(pos, pos + take)
-        idx = np.concatenate([idx, new_idx])
+        idx = np.concatenate([idx, np.arange(pos, pos + take)])
         w = np.concatenate([w, weights[pos:pos + take]])
-        cols = np.concatenate([cols, make_columns(new_idx)], axis=1)
         pos += take
 
     return idx, w, steps
@@ -331,7 +319,7 @@ def _sweep(
 def _tree(
     cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float
 ):
-    """Tree recombination of one in-memory column set.
+    """Tree recombination of one D x n column matrix.
 
     Returns (surviving column positions, surviving weights, elimination
     steps, tree levels).  Each level reduces the 2D contiguous groups'
@@ -341,7 +329,10 @@ def _tree(
     """
     dim = cols.shape[0]
     groups = 2 * dim
-    cap = _working_cap(dim)
+    # Every elimination refactorizes the sweep's whole working set, so a
+    # larger one only costs time: keep it O(D).  It is at least 2D, so the
+    # base case and every group-mean reduction fit in one working set.
+    cap = max(2 * (dim + 1), 64)
     pos = np.arange(weights.shape[0])
     w = weights
     steps = levels = 0
@@ -353,9 +344,7 @@ def _tree(
             lo, hi = bounds[g], bounds[g + 1]
             means[:, g] = cols[:, pos[lo:hi]] @ w[lo:hi]
         means /= mass
-        kept, new_mass, s = _sweep(
-            lambda i: means[:, i], groups, mass, cap, project_constant, tol_factor
-        )
+        kept, new_mass, s = _sweep(means, mass, cap, project_constant, tol_factor)
         steps += s
         if kept.shape[0] == groups:
             # The cancellation guard removed no group: hand these atoms to
@@ -368,64 +357,19 @@ def _tree(
         live = w > 0.0
         pos = pos[live]
         w = w[live]
-    sub, w, s = _sweep(lambda i: cols[:, pos[i]], pos.shape[0], w, cap,
-                       project_constant, tol_factor)
+    sub, w, s = _sweep(cols[:, pos], w, cap, project_constant, tol_factor)
     return pos[sub], w, steps + s, levels
 
 
-def _tree_sweep(
-    make_columns: Callable[[np.ndarray], np.ndarray],
-    num_atoms: int,
-    weights: np.ndarray,
-    dim: int,
-    project_constant: bool,
-    tol_factor: float,
-):
-    """Tree recombination over contiguous chunks of ``_CHUNK`` atoms.
-
-    Returns (surviving atom indices, surviving weights, elimination steps,
-    tree levels, detected rank of the full column set).  Each chunk's
-    survivors are carried into the next chunk, so memory stays
-    O(D * _CHUNK) whatever the number of atoms.
-    """
-    tracker = _SpanTracker(dim, tol_factor)
-    idx = np.empty(0, dtype=np.int64)
-    w = np.empty(0)
-    carried = np.empty((dim, 0))
-    steps = levels = 0
-    for start in range(0, num_atoms, _CHUNK):
-        stop = min(start + _CHUNK, num_atoms)
-        chunk = np.arange(start, stop)
-        cols = make_columns(chunk)
-        # Small slices keep the tracker's QR workspace O(D^2).
-        for lo in range(0, chunk.shape[0], 2 * dim):
-            tracker.add(cols[:, lo:lo + 2 * dim])
-        chunk_w = weights[start:stop]
-        if idx.shape[0]:
-            chunk = np.concatenate([idx, chunk])
-            chunk_w = np.concatenate([w, chunk_w])
-            cols = np.concatenate([carried, cols], axis=1)
-        keep, w, s, lv = _tree(cols, chunk_w, project_constant, tol_factor)
-        idx = chunk[keep]
-        carried = cols[:, keep]
-        del cols  # freed before the next chunk's columns are built
-        steps += s
-        levels += lv
-    # The final full-rank certificate proves the survivors are independent,
-    # so the detected rank is at least their count.
-    return idx, w, steps, levels, max(tracker.rank, int(idx.shape[0]))
-
-
-def _noise_amplification(atoms: np.ndarray) -> float:
+def _noise_amplification(lo: np.ndarray, hi: np.ndarray) -> float:
     """How much the [-1, 1]^N rescale magnifies coordinate rounding noise.
 
-    Mapping x to (x - shift) / half turns the eps * |x| uncertainty of a
-    stored coordinate into roughly eps * (|shift| + half) / half; rank
-    decisions in rescaled coordinates must not resolve below that.
-    Constant coordinates map to exactly zero and do not contribute.
+    ``lo`` and ``hi`` are the atoms' per-coordinate bounds.  Mapping x to
+    (x - shift) / half turns the eps * |x| uncertainty of a stored
+    coordinate into roughly eps * (|shift| + half) / half; rank decisions in
+    rescaled coordinates must not resolve below that.  Constant coordinates
+    map to exactly zero and do not contribute.
     """
-    lo = atoms.min(axis=0)
-    hi = atoms.max(axis=0)
     half = 0.5 * (hi - lo)
     center = 0.5 * (lo + hi)
     live = half > 0.0
@@ -434,50 +378,77 @@ def _noise_amplification(atoms: np.ndarray) -> float:
     return max(1.0, float(((np.abs(center[live]) + half[live]) / half[live]).max()))
 
 
-def _prepare(measure: DiscreteMeasure, features: Features):
-    """Column generator in reduction coordinates, the rescale used, whether
-    the feature system starts with the constant, and the rank tolerance
-    factor induced by the rescale."""
-    if isinstance(features, MonomialBasis):
+def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, ReductionReport]:
+    """Compress a measure onto at most D of its atoms, moments preserved.
+
+    D is the feature count.  Output nodes are original atoms (by index),
+    weights are strictly positive, and every feature's weighted sum matches
+    the input measure's; the achieved max relative residual is recorded in
+    the report.
+
+    Atoms are taken in contiguous chunks of 65,536.  Each chunk's feature
+    columns (in [-1, 1]^N coordinates for a monomial basis) are joined to
+    the survivors carried from earlier chunks and reduced by ``_tree``; the
+    chunk's columns are freed before the next chunk's are built, so extra
+    memory is O(D * 65,536) whatever the input size.  The output is stated
+    in original coordinates.
+
+    Raises ValueError when the features' weighted sums cancel so that no
+    reduction to at most D atoms with positive weights was found (a zero
+    moment vector has no such cubature).
+    """
+    dim = feature_count(features)
+    atoms = measure.atoms
+    is_monomial = isinstance(features, MonomialBasis)
+    rescale = None
+    tol_factor = 1.0
+    if is_monomial:
         if features.num_vars != measure.num_vars:
             raise ValueError(
                 f"basis expects {features.num_vars} coordinates, "
                 f"measure has {measure.num_vars}"
             )
-        rescale = AffineRescale.from_atoms(measure.atoms)
-        tol_factor = _noise_amplification(measure.atoms)
+        lo = atoms.min(axis=0)
+        hi = atoms.max(axis=0)
+        rescale = AffineRescale.from_bounds(lo, hi)
+        tol_factor = _noise_amplification(lo, hi)
 
-        def make_columns(idx: np.ndarray) -> np.ndarray:
-            return _feature_block(features, rescale.apply(measure.atoms[idx]))
+    tracker = _SpanTracker(dim, tol_factor)
+    idx = np.empty(0, dtype=np.int64)
+    w = np.empty(0)
+    carried = np.empty((dim, 0))
+    steps = levels = 0
+    for start in range(0, measure.num_atoms, _CHUNK):
+        pts = atoms[start:start + _CHUNK]
+        # Errors from a dictionary name the global atom index.
+        cols = _feature_block(features, pts if rescale is None else rescale.apply(pts), start)
+        # Small slices keep the tracker's QR workspace O(D^2).
+        for k in range(0, cols.shape[1], 2 * dim):
+            tracker.add(cols[:, k:k + 2 * dim])
+        chunk = np.arange(start, start + cols.shape[1])
+        chunk_w = measure.weights[start:start + _CHUNK]
+        if idx.shape[0]:
+            chunk = np.concatenate([idx, chunk])
+            chunk_w = np.concatenate([w, chunk_w])
+            cols = np.concatenate([carried, cols], axis=1)
+        keep, w, s, lv = _tree(cols, chunk_w, is_monomial, tol_factor)
+        idx = chunk[keep]
+        carried = cols[:, keep]
+        del cols  # freed before the next chunk's columns are built
+        steps += s
+        levels += lv
+    if idx.shape[0] > dim:
+        raise ValueError(
+            f"reduction stopped at {idx.shape[0]} atoms, above the feature count "
+            f"D = {dim}: the weighted feature sums cancel, so no positive cubature "
+            "on at most D atoms was found"
+        )
 
-        return make_columns, rescale, True, tol_factor
-
-    def make_columns(idx: np.ndarray) -> np.ndarray:
-        # Chunks are contiguous index ranges; errors name the global atom.
-        return _feature_block(features, measure.atoms[idx], int(idx[0]))
-
-    return make_columns, None, False, 1.0
-
-
-def _finalize(
-    measure: DiscreteMeasure,
-    features: Features,
-    idx: np.ndarray,
-    w: np.ndarray,
-    steps: int,
-    levels: int,
-    detected_rank: int,
-    rescale: AffineRescale | None,
-    tol_factor: float,
-) -> tuple[Cubature, ReductionReport]:
-    """Assemble output in original coordinates and measure the residual."""
-    if isinstance(features, MonomialBasis):
+    if is_monomial:
         # The constant monomial is entry 0, so total mass is itself a moment;
         # pin it exactly by one global rescale of the surviving weights.
-        target_mass = measure.total_mass
-        w = w * (target_mass / math.fsum(w.tolist()))
-
-    nodes = measure.atoms[idx]
+        w = w * (measure.total_mass / math.fsum(w.tolist()))
+    nodes = atoms[idx]
     target = moment_vector(measure, features).values
     achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features).values
     residual = float(np.max(np.abs(achieved - target) / (1.0 + np.abs(target))))
@@ -486,47 +457,22 @@ def _finalize(
         node_indices=idx,
         nodes=nodes,
         weights=w,
-        degree=features.max_degree if isinstance(features, MonomialBasis) else None,
-        basis_id=feature_id(features),
+        degree=features.max_degree if is_monomial else None,
+        basis_id=features.identifier,
     )
     report = ReductionReport(
         initial_atoms=measure.num_atoms,
         final_atoms=int(idx.shape[0]),
         elimination_steps=steps,
-        detected_rank=detected_rank,
+        # The final full-rank certificate proves the survivors are
+        # independent, so the detected rank is at least their count.
+        detected_rank=max(tracker.rank, int(idx.shape[0])),
         max_moment_residual_rel=residual,
         rescaling=rescale.to_dict() if rescale is not None else None,
         tree_levels=levels,
         rank_tol_factor=tol_factor,
     )
     return cubature, report
-
-
-def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, ReductionReport]:
-    """Compress a measure onto at most D of its atoms, moments preserved.
-
-    D is the feature count.  Output nodes are original atoms (by index),
-    weights are strictly positive, and every feature's weighted sum matches
-    the input measure's; the achieved max relative residual is recorded in
-    the report.  Atoms are reduced by tree recombination in chunks of
-    65,536, so extra memory is O(D * 65,536) whatever the input size.
-
-    Raises ValueError when the features' weighted sums cancel so that no
-    reduction to at most D atoms with positive weights was found (a zero
-    moment vector has no such cubature).
-    """
-    make_columns, rescale, has_constant, tol_factor = _prepare(measure, features)
-    dim = feature_count(features)
-    idx, w, steps, levels, rank = _tree_sweep(
-        make_columns, measure.num_atoms, measure.weights, dim, has_constant, tol_factor
-    )
-    if idx.shape[0] > dim:
-        raise ValueError(
-            f"reduction stopped at {idx.shape[0]} atoms, above the feature count "
-            f"D = {dim}: the weighted feature sums cancel, so no positive cubature "
-            "on at most D atoms was found"
-        )
-    return _finalize(measure, features, idx, w, steps, levels, rank, rescale, tol_factor)
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps this name whenever it

@@ -69,8 +69,9 @@ def verify_cubature(
 
     Node indices outside the measure are an error (they cannot be checked
     against anything); a node whose coordinates disagree with the indexed
-    atom is reported as a support violation instead.  ``tol`` is not used
-    in the report's numbers, only recorded for callers via ``passes``.
+    atom is reported as a support violation instead.  ``tol`` must be
+    positive but is neither applied nor stored: the report carries the raw
+    residuals, and callers judge them with ``passes(tol, mass_tol)``.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")

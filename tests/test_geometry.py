@@ -214,6 +214,18 @@ class TestTruncatedMomentFeasible:
         with pytest.raises(ValueError, match="mass"):
             truncated_moment_feasible({(0,): 0.0, (1,): 0.0}, [[0.0]], 1, [1], 1)
 
+    @pytest.mark.parametrize(
+        "grid, ncoords",
+        [([[0.0, 1.0], [1.0, 0.0]], 2), ([-1.0, 0.0, 1.0], 3)],
+    )
+    def test_grid_dimension_mismatch_rejected(self, grid, ncoords):
+        # A flat list is one point with one coordinate per entry, not a
+        # column of N=1 points.
+        with pytest.raises(
+            ValueError, match=f"grid points have {ncoords} coordinates, expected 1"
+        ):
+            truncated_moment_feasible({(0,): 1.0, (1,): 0.0}, grid, 1, [1], 1)
+
     def test_witness_feeds_back_into_reduction(self):
         rng = np.random.default_rng(89)
         grid = rng.uniform(-1, 1, (20, 1))

@@ -258,6 +258,28 @@ class TestReduceStreaming:
         assert report.rank_tol_factor >= 1.0
         assert {"tree_levels", "rank_tol_factor"} <= set(report.to_dict())
 
+    def test_dictionary_reduction_across_chunk_boundary(self):
+        # 70,000 atoms span two 65,536-atom chunks.
+        n = 70_000
+        measure = DiscreteMeasure(
+            np.linspace(-1.0, 2.0, n).reshape(-1, 1), 1.0 + 0.5 * np.sin(np.arange(n))
+        )
+        features = FunctionDictionary(3, lambda x: np.array([1.0, x[0], x[0] ** 2]))
+        cubature, report = reduce(measure, features)
+        assert cubature.num_nodes <= 3
+        np.testing.assert_array_equal(
+            cubature.nodes, measure.atoms[cubature.node_indices]
+        )
+        target = moment_vector(measure, features).values
+        achieved = moment_vector(
+            DiscreteMeasure(cubature.nodes, cubature.weights), features
+        ).values
+        np.testing.assert_allclose(achieved, target, rtol=1e-12)
+        assert report.detected_rank == 3
+        again, _ = reduce(measure, features)
+        np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
+        np.testing.assert_array_equal(again.weights, cubature.weights)
+
     def test_second_chunk_error_names_the_global_atom(self):
         def failing_at_70000(x):
             if x[0] == 70_000.0:
