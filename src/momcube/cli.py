@@ -268,6 +268,11 @@ def cmd_verify(cfg: RunConfig) -> int:
         raise CliError("no cubature file given (use --cubature or the config)")
     measure = _load_input_measure(cfg)
     cubature, basis = _load_cubature_file(cfg.cubature_path)
+    if {basis.num_vars, cubature.nodes.shape[1]} != {measure.num_vars}:
+        raise CliError(
+            f"{cfg.cubature_path}: basis has {basis.num_vars} coordinates and nodes "
+            f"have {cubature.nodes.shape[1]}, but the measure has {measure.num_vars}"
+        )
     try:
         verification = verify_cubature(measure, cubature, basis, cfg.tol)
     except IndexError as exc:

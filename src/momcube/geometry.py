@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import MonomialBasis, MultiIndex, basis_from_config, build_basis, embed_block
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, _is_json_number
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
@@ -371,5 +371,7 @@ def load_moment_file(source) -> tuple[MonomialBasis, dict[MultiIndex, float]]:
     if not isinstance(data, dict) or "basis" not in data or "moments" not in data:
         raise ValueError('moment file needs "basis" and "moments" entries')
     basis = basis_from_config(data["basis"])
-    moments = {parse_moment_key(k): float(v) for k, v in data["moments"].items()}
-    return basis, moments
+    moments = data["moments"]
+    if not isinstance(moments, dict) or not all(map(_is_json_number, moments.values())):
+        raise ValueError('"moments" must be an object mapping moment keys to numbers')
+    return basis, {parse_moment_key(k): float(v) for k, v in moments.items()}

@@ -138,6 +138,19 @@ def _open_text(source: Union[str, Path, IO]):
     raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
 
 
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_json_number(value) -> bool:
+    """A JSON number; booleans are ints in Python but not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _parse_csv(text_file, num_vars):
     atoms = array("d")
     weights = array("d")
@@ -150,7 +163,7 @@ def _parse_csv(text_file, num_vars):
         try:
             row = [float(c) for c in cells]
         except ValueError:
-            if not atoms and ncols is None:
+            if ncols is None and not any(map(_parses_as_float, cells)):
                 ncols = len(cells)  # header line; remember its width
                 continue
             raise MeasureFormatError(f"line {lineno}: non-numeric value") from None
@@ -195,7 +208,7 @@ def _parse_jsonl(text_file, num_vars):
         if not isinstance(obj, dict) or "x" not in obj:
             raise MeasureFormatError(f'line {lineno}: expected an object with an "x" array')
         x = obj["x"]
-        if not isinstance(x, list) or not all(isinstance(v, (int, float)) for v in x):
+        if not isinstance(x, list) or not all(map(_is_json_number, x)):
             raise MeasureFormatError(f'line {lineno}: "x" must be an array of numbers')
         row = [float(v) for v in x]
         if n is None:
@@ -207,7 +220,7 @@ def _parse_jsonl(text_file, num_vars):
         if any(not math.isfinite(v) for v in row):
             raise MeasureFormatError(f"line {lineno}: non-finite coordinate")
         w = obj.get("w", 1.0)
-        if not isinstance(w, (int, float)) or not math.isfinite(w) or w <= 0.0:
+        if not _is_json_number(w) or not math.isfinite(w) or w <= 0.0:
             raise MeasureFormatError(f"line {lineno}: non-positive weight {w!r}")
         atoms.extend(row)
         weights.append(float(w))
@@ -219,8 +232,9 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
 
     CSV rows carry N coordinate columns plus an optional final weight
     column (distinguished by ``num_vars``; without it every column is a
-    coordinate).  A non-numeric first row is treated as a header.  JSONL
-    rows are objects with an "x" array and an optional positive "w".
+    coordinate).  A first row in which no cell is a number is treated as a
+    header.  JSONL rows are objects with an "x" array of numbers and an
+    optional positive number "w"; booleans are not numbers.
     Missing weights default to 1.
     """
     text_file, should_close = _open_text(source)

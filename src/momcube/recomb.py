@@ -21,8 +21,8 @@ matrices:
   groups, reduces the D x 2D weighted group means, rescales the atom
   weights of the at most D surviving groups and drops the rest, so every
   level costs one small reduction and roughly halves the atoms.
-* ``_sweep`` is the kernel above, applied left to right over a bounded
-  working set of columns.
+* ``_sweep`` is the kernel above, applied to at most 2D columns at a
+  time: a level's group means or the base case.
 
 Grouping is fixed and no step is random, so reruns are identical.
 """
@@ -120,10 +120,10 @@ class ReductionReport:
 
     ``elimination_steps`` counts every pivot the kernel applied: group
     eliminations on the tree levels' group means plus the eliminations of
-    the base cases (and of any level that fell back to the windowed sweep).
-    ``tree_levels`` counts the group-mean levels that removed groups, and
-    ``rank_tol_factor`` is the factor by which the internal rescale loosened
-    every rank decision (1 for dictionaries, which are not rescaled).
+    the base cases.  ``tree_levels`` counts the group-mean levels that
+    removed groups, and ``rank_tol_factor`` is the factor by which the
+    internal rescale loosened every rank decision (1 for dictionaries,
+    which are not rescaled).
     """
 
     initial_atoms: int
@@ -261,58 +261,39 @@ class _SpanTracker:
 def _sweep(
     cols: np.ndarray,
     weights: np.ndarray,
-    cap: int,
     project_constant: bool,
     tol_factor: float = 1.0,
 ):
-    """Deterministic left-to-right reduction of a D x n column matrix.
+    """Deterministic reduction of a D x n column matrix until its columns are
+    linearly independent.
 
-    At most ``cap`` columns are active at a time; once their columns are
-    linearly independent the next columns are taken in.  Returns (surviving
-    column positions, surviving weights, elimination steps).
-    ``tol_factor`` loosens rank decisions by the noise amplification an
-    internal coordinate rescale introduced, so directions below input
-    rounding noise do not count.
+    Returns (surviving column positions, surviving weights, elimination
+    steps).  ``tol_factor`` loosens rank decisions by the noise
+    amplification an internal coordinate rescale introduced, so directions
+    below input rounding noise do not count.
     """
-    num_atoms = cols.shape[1]
-    take = min(cap, num_atoms)
-    idx = np.arange(take)
-    w = weights[:take].astype(float, copy=True)
-    pos = take
+    idx = np.arange(cols.shape[1])
+    w = weights.astype(float, copy=True)
     steps = 0
-
-    while True:
-        # Reduce the working set until its columns are linearly independent.
-        while idx.shape[0] >= 2:
-            qr_packed, pivots = _pivoted_qr(cols[:, idx])
-            c = _null_vector_from_qr(qr_packed, pivots, idx.shape[0], tol_factor)
-            if c is None:
-                break
-            if project_constant:
-                projected = c - c.sum() / c.shape[0]
-                peak = np.abs(projected).max()
-                if peak > 1e-8:
-                    c = projected / peak
-            new_w, _ = _eliminate(w, c)
-            keep = new_w > 0.0
-            if not keep.any():
-                # Exactly cancelling features (zero moment vector): no atom
-                # can be removed without losing representability, stop here.
-                break
-            steps += 1
-            idx = idx[keep]
-            w = new_w[keep]
-        if pos >= num_atoms:
+    while idx.shape[0] >= 2:
+        qr_packed, pivots = _pivoted_qr(cols[:, idx])
+        c = _null_vector_from_qr(qr_packed, pivots, idx.shape[0], tol_factor)
+        if c is None:
             break
-        take = min(cap - idx.shape[0], num_atoms - pos)
-        if take <= 0:
-            # The cancellation guard left a full window; let it grow past the
-            # cap rather than dropping unprocessed atoms or spinning.
-            take = min(cap, num_atoms - pos)
-        idx = np.concatenate([idx, np.arange(pos, pos + take)])
-        w = np.concatenate([w, weights[pos:pos + take]])
-        pos += take
-
+        if project_constant:
+            projected = c - c.sum() / c.shape[0]
+            peak = np.abs(projected).max()
+            if peak > 1e-8:
+                c = projected / peak
+        new_w, _ = _eliminate(w, c)
+        keep = new_w > 0.0
+        if not keep.any():
+            # Exactly cancelling features (zero moment vector): no atom
+            # can be removed without losing representability, stop here.
+            break
+        steps += 1
+        idx = idx[keep]
+        w = new_w[keep]
     return idx, w, steps
 
 
@@ -325,14 +306,11 @@ def _tree(
     steps, tree levels).  Each level reduces the 2D contiguous groups'
     weighted means with ``_sweep`` and keeps the atoms of surviving groups,
     rescaled by new group mass over old; at most 2D atoms go to ``_sweep``
-    as the base case.
+    as the base case.  A level whose group means cancel, so that no group
+    can be removed, returns its atoms and weights unreduced.
     """
     dim = cols.shape[0]
     groups = 2 * dim
-    # Every elimination refactorizes the sweep's whole working set, so a
-    # larger one only costs time: keep it O(D).  It is at least 2D, so the
-    # base case and every group-mean reduction fit in one working set.
-    cap = max(2 * (dim + 1), 64)
     pos = np.arange(weights.shape[0])
     w = weights
     steps = levels = 0
@@ -344,12 +322,10 @@ def _tree(
             lo, hi = bounds[g], bounds[g + 1]
             means[:, g] = cols[:, pos[lo:hi]] @ w[lo:hi]
         means /= mass
-        kept, new_mass, s = _sweep(means, mass, cap, project_constant, tol_factor)
+        kept, new_mass, s = _sweep(means, mass, project_constant, tol_factor)
         steps += s
         if kept.shape[0] == groups:
-            # The cancellation guard removed no group: hand these atoms to
-            # the windowed sweep, which handles cancelling sums as it can.
-            break
+            return pos, w, steps, levels
         levels += 1
         factor = np.zeros(groups)
         factor[kept] = new_mass / mass[kept]
@@ -357,7 +333,7 @@ def _tree(
         live = w > 0.0
         pos = pos[live]
         w = w[live]
-    sub, w, s = _sweep(cols[:, pos], w, cap, project_constant, tol_factor)
+    sub, w, s = _sweep(cols[:, pos], w, project_constant, tol_factor)
     return pos[sub], w, steps + s, levels
 
 
@@ -390,12 +366,14 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     columns (in [-1, 1]^N coordinates for a monomial basis) are joined to
     the survivors carried from earlier chunks and reduced by ``_tree``; the
     chunk's columns are freed before the next chunk's are built, so extra
-    memory is O(D * 65,536) whatever the input size.  The output is stated
-    in original coordinates.
+    memory is O(D * 65,536) whatever the input size, as long as no chunk's
+    group means cancel.  A chunk whose group means do cancel is carried
+    into the next chunk unreduced.  The output is stated in original
+    coordinates.
 
-    Raises ValueError when the features' weighted sums cancel so that no
-    reduction to at most D atoms with positive weights was found (a zero
-    moment vector has no such cubature).
+    Raises ValueError when the features' weighted sums cancel so that more
+    than D atoms remain at the end (a zero moment vector has no positive
+    cubature the reduction can find).
     """
     dim = feature_count(features)
     atoms = measure.atoms

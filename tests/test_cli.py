@@ -188,6 +188,21 @@ class TestFeasibleCommand:
         moments = self._moment_file(tmp_path, [1.0, 0.0, 0.5])
         assert main(["feasible", "--input", moments]) == 2
 
+    @pytest.mark.parametrize(
+        "moments", [[1, 2, 3], {"0": [1.0], "1": 0.0, "2": 0.5}], ids=["list", "list-value"]
+    )
+    def test_moments_not_an_object_of_numbers_exits_two(self, tmp_path, capsys, moments):
+        grid = _write(tmp_path / "grid.csv", "-1\n0\n1\n")
+        payload = {
+            "basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 2},
+            "moments": moments,
+        }
+        path = _write(tmp_path / "moments.json", json.dumps(payload))
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert '"moments" must be an object' in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_verify_accepts_reduce_output(self, tmp_path, five_atom_csv):
@@ -214,6 +229,25 @@ class TestVerifyCommand:
             "--cubature", tampered, "--out-dir", str(tmp_path / "check"),
         ])
         assert code == 1
+
+
+    def test_basis_of_other_dimension_exits_two(self, tmp_path, capsys):
+        measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")
+        out = tmp_path / "out"
+        assert main([
+            "reduce", "--input", measure, "--num-vars", "2",
+            "--degree", "1", "--out-dir", str(out),
+        ]) == 0
+        payload = json.loads((out / "cubature.json").read_text())
+        payload["basis"]["num_vars"] = 3
+        payload["basis"]["degree_weights"] = [1, 1, 1]
+        other = _write(tmp_path / "other.json", json.dumps(payload))
+        code = main([
+            "verify", "--input", measure, "--num-vars", "2",
+            "--cubature", other, "--out-dir", str(tmp_path / "check"),
+        ])
+        assert code == 2
+        assert "basis has 3 coordinates" in capsys.readouterr().err
 
 
 class TestGenCommand:

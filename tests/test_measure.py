@@ -58,6 +58,12 @@ class TestLoadMeasureCsv:
         np.testing.assert_array_equal(m.atoms, [[1.0]])
         np.testing.assert_array_equal(m.weights, [2.0])
 
+    def test_partly_numeric_first_row_rejected_not_skipped(self):
+        # A first row with a number in it is data with a missing cell, not a
+        # header; skipping it would silently drop an atom.
+        with pytest.raises(MeasureFormatError, match="line 1: non-numeric value"):
+            load_measure(_csv("1,,2\n3,4,5\n6,7,8\n"), "csv", num_vars=2)
+
     def test_empty_file_rejected(self):
         with pytest.raises(MeasureFormatError, match="no atoms"):
             load_measure(_csv(""), "csv")
@@ -91,6 +97,18 @@ class TestLoadMeasureJsonl:
     def test_bad_weight_rejected(self):
         with pytest.raises(MeasureFormatError, match="line 1.*weight"):
             load_measure(_csv('{"x": [1.0], "w": -2.0}\n'), "jsonl")
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"x": [true, 2.0]}', '"x" must be an array of numbers'),
+            ('{"x": [1.0], "w": true}', "non-positive weight True"),
+        ],
+        ids=["x", "w"],
+    )
+    def test_booleans_rejected(self, line, message):
+        with pytest.raises(MeasureFormatError, match=f"line 1: {message}"):
+            load_measure(_csv(line + "\n"), "jsonl")
 
     def test_inconsistent_length_rejected(self):
         with pytest.raises(MeasureFormatError, match="line 2"):

@@ -24,6 +24,12 @@ def _unit_grid_measure(points):
     return DiscreteMeasure(pts, np.ones(pts.shape[0]))
 
 
+def _symmetric(per_side):
+    """Points in [1, 2] and their mirror images, none at 0."""
+    side = np.linspace(1.0, 2.0, per_side)
+    return np.concatenate([side, -side])
+
+
 class TestFindNullVector:
     def test_duplicate_columns(self):
         y = np.array([[1.0], [2.0], [-0.5]])
@@ -188,12 +194,20 @@ class TestReduce:
         )
         np.testing.assert_allclose(achieved, target, rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("per_side", [3, 100])
-    def test_cancelling_features_raise(self, per_side):
-        # x sums to zero over atoms symmetric about 0, and no single atom has
-        # x = 0, so no one-node positive cubature exists.
-        side = np.linspace(1.0, 2.0, per_side)
-        measure = _unit_grid_measure(np.concatenate([side, -side]))
+    @pytest.mark.parametrize(
+        "points",
+        [
+            pytest.param(_symmetric(3), id="3"),
+            pytest.param(_symmetric(100), id="100"),
+            pytest.param([-1.0, 0.0, 1.0], id="zero-in-middle"),
+            pytest.param([-1.0, 1.0, 0.0], id="zero-last"),
+        ],
+    )
+    def test_cancelling_features_raise(self, points):
+        # x sums to zero over atoms symmetric about 0.  Above 2D atoms the
+        # group means cancel and the atoms stay unreduced, so the outcome does
+        # not depend on the atom order, also when an atom sits at x = 0.
+        measure = _unit_grid_measure(points)
         with pytest.raises(ValueError, match="cancel"):
             reduce(measure, FunctionDictionary(1, lambda x: np.array([x[0]])))
 
@@ -225,7 +239,7 @@ class TestReduce:
 
 
 class TestReduceStreaming:
-    """reduce on inputs far larger than its working set."""
+    """reduce on inputs far larger than D: many tree levels, several chunks."""
 
     def test_large_grid_matches_direct_sums(self):
         pts = np.linspace(0.0, 1.0, 10_000)
@@ -276,6 +290,31 @@ class TestReduceStreaming:
         ).values
         np.testing.assert_allclose(achieved, target, rtol=1e-12)
         assert report.detected_rank == 3
+        again, _ = reduce(measure, features)
+        np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
+        np.testing.assert_array_equal(again.weights, cubature.weights)
+
+    def test_cancelling_first_chunk_is_carried_into_the_next(self):
+        # The first 65,536-atom chunk is symmetric about 0, so its group means
+        # cancel and it is carried, unreduced, into the second chunk, whose
+        # 100 extra atoms break the symmetry.  Sweeping the first chunk atom
+        # by atom instead took 65,542 eliminations.
+        pts = np.concatenate([_symmetric(32_768), np.linspace(0.5, 1.0, 100)])
+        measure = _unit_grid_measure(pts)
+        features = FunctionDictionary(1, lambda x: np.array([x[0]]))
+        cubature, report = reduce(measure, features)
+        assert cubature.num_nodes <= 1
+        assert (cubature.weights > 0).all()
+        np.testing.assert_array_equal(
+            cubature.nodes, measure.atoms[cubature.node_indices]
+        )
+        target = moment_vector(measure, features).values
+        achieved = moment_vector(
+            DiscreteMeasure(cubature.nodes, cubature.weights), features
+        ).values
+        np.testing.assert_allclose(achieved, target, rtol=1e-12)
+        assert report.max_moment_residual_rel <= 1e-12
+        assert report.elimination_steps < 1000
         again, _ = reduce(measure, features)
         np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
         np.testing.assert_array_equal(again.weights, cubature.weights)
@@ -361,7 +400,7 @@ class TestCubatureOfDegree:
     def test_large_input_matches_reduce(self):
         rng = np.random.default_rng(5)
         measure = DiscreteMeasure(rng.uniform(-1, 1, (400, 2)), rng.uniform(0.1, 2, 400))
-        # D = 10: 400 atoms pass through several 64-column working sets.
+        # D = 10: 400 atoms take several tree levels above the 20-atom base case.
         basis = build_basis(2, [1, 1], 3)
         direct, _ = reduce(measure, basis)
         cubature, _ = cubature_of_degree(measure, 2, [1, 1], 3)
