@@ -1,13 +1,17 @@
 """Convex membership decisions for moment vectors.
 
 Whether a target vector lies in the cone (or convex hull) of a finite set
-of embedded points is decided by a phase-1 simplex over the nonnegative
-representation weights, with Bland's rule for anti-cycling and a hard
-iteration cap.  Answers are certified: a Feasible result carries weights
+of embedded points is the cone-membership form of Tchakaloff's theorem.
+It is decided by one Lawson-Hanson non-negative least-squares solve on
+the row-equilibrated system, with a hard cap on its outer iterations.  A
+zero residual gives the representing weights, thinned to at most D
+points by recombination's kernel; a nonzero optimal residual r has
+A^T r <= 0 and b . r = |r|^2 > 0, so r is itself a Farkas separating
+functional.  Answers are certified: a Feasible result carries weights
 that are re-verified against the columns, an Infeasible result carries a
 separating functional that is re-verified against every column, and
-anything that cannot be certified is reported as Indeterminate rather
-than coerced.
+anything that cannot be certified is reported as Indeterminate, with the
+reason, rather than coerced.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import numpy as np
 
 from .basis import MonomialBasis, MultiIndex, basis_from_config, build_basis, embed_block
 from .measure import DiscreteMeasure, _is_json_number
+from .recomb import _sweep
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
@@ -59,11 +64,19 @@ class SeparatingFunctional:
 
 @dataclass(frozen=True)
 class FeasibilityResult:
-    """Outcome of a membership query; weights and certificate are exclusive."""
+    """Outcome of a membership query; weights and certificate are exclusive.
+
+    ``iterations`` counts the NNLS outer iterations.  ``reason`` says why a
+    result is Indeterminate: ``iteration_limit`` (the cap was reached),
+    ``residual_check`` (the witness failed its re-check) or
+    ``certificate_check`` (the separating functional failed its re-check).
+    """
 
     status: FeasibilityStatus
     weights: np.ndarray | None = None
     certificate: SeparatingFunctional | None = None
+    iterations: int = 0
+    reason: str | None = None
 
     def __post_init__(self):
         if self.weights is not None:
@@ -76,71 +89,73 @@ class FeasibilityResult:
             raise ValueError("infeasible result requires a certificate")
         if self.weights is not None and self.certificate is not None:
             raise ValueError("weights and certificate are mutually exclusive")
+        if (self.reason is not None) != (self.status is FeasibilityStatus.INDETERMINATE):
+            raise ValueError("a reason is given exactly for indeterminate results")
 
     def to_dict(self) -> dict:
         return {
             "status": self.status.value,
             "weights": None if self.weights is None else self.weights.tolist(),
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
+            "iterations": self.iterations,
+            "reason": self.reason,
         }
 
 
-def _phase1_simplex(A: np.ndarray, b: np.ndarray, max_iterations: int):
-    """min sum(artificials) over {A W + s = b, W >= 0, s >= 0}.
+def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int):
+    """Lawson-Hanson non-negative least squares: min |A x - b| over x >= 0.
 
-    Rows are assumed sign-normalized so b >= 0.  Returns
-    (outcome, basis, objective, dual) where outcome is "optimal" or
-    "iteration_limit", basis holds the final basic variable indices
-    (structural < M, artificial >= M), and dual is the phase-1 dual vector.
+    Returns (x, residual b - A x, outer iterations, converged).  The loop
+    stops when no column outside the passive set has gradient A^T r above
+    eps times the largest column 1-norm, when every such column would
+    enter with a least-squares weight <= 0 (Lawson & Hanson's safeguard,
+    1974, ch. 23), or when an outer iteration fails to lower |r|, which
+    it always does in exact arithmetic; ``converged`` is False when
+    ``max_iterations`` outer iterations pass without any of these.
     """
-    d, m = A.shape
-    tableau = np.empty((d, m + d))
-    tableau[:, :m] = A
-    tableau[:, m:] = np.eye(d)
-    rhs = b.astype(float, copy=True)
-    basis = np.arange(m, m + d)
-    reduced = np.concatenate([-A.sum(axis=0), np.zeros(d)])
+    m = A.shape[1]
+    x = np.zeros(m)
+    passive = np.zeros(m, dtype=bool)
+    r = b.astype(float, copy=True)
+    tol = _EPS * float(np.abs(A).sum(axis=0).max(initial=0.0))
 
-    scale = max(1.0, float(np.abs(A).max(initial=0.0)))
-    tol_enter = 64.0 * _EPS * max(1.0, float(np.abs(reduced).max(initial=0.0)))
-    tol_pivot = 1e-11 * scale
+    def solve(mask):
+        z = np.zeros(m)
+        z[mask], *_ = np.linalg.lstsq(A[:, mask], b, rcond=None)
+        return z
 
-    def finish(outcome):
-        # Phase-1 value is the total mass still carried by basic artificials.
-        objective = float(rhs[basis >= m].sum())
-        return outcome, basis, objective, 1.0 - reduced[m:]
-
-    for _ in range(max_iterations):
-        entering = np.flatnonzero(reduced < -tol_enter)
-        if entering.size == 0:
-            return finish("optimal")
-        j = int(entering[0])  # Bland: smallest variable index
-        col = tableau[:, j]
-        rows = np.flatnonzero(col > tol_pivot)
-        if rows.size == 0:
-            # Phase-1 objective is bounded below by zero, so an unbounded
-            # ray can only be numerical noise; give up explicitly.
-            return finish("iteration_limit")
-        ratios = rhs[rows] / col[rows]
-        best = ratios.min()
-        tie = rows[ratios == best]
-        i = int(tie[np.argmin(basis[tie])])  # Bland: smallest basic index
-
-        pivot = tableau[i, j]
-        pivot_row = tableau[i] / pivot
-        pivot_rhs = rhs[i] / pivot
-        coef = tableau[:, j].copy()
-        coef[i] = 0.0
-        tableau -= np.outer(coef, pivot_row)
-        rhs -= coef * pivot_rhs
-        tableau[i] = pivot_row
-        rhs[i] = pivot_rhs
-        np.maximum(rhs, 0.0, out=rhs)
-        reduced = reduced - reduced[j] * pivot_row
-        reduced[j] = 0.0
-        basis[i] = j
-
-    return finish("iteration_limit")
+    for iteration in range(1, max_iterations + 1):
+        grad = A.T @ r
+        grad[passive] = -np.inf
+        while True:
+            t = int(np.argmax(grad))
+            if grad[t] <= tol:
+                return x, r, iteration, True
+            passive[t] = True
+            z = solve(passive)
+            if z[t] > 0.0:
+                break
+            # Rounding alone made column t look improving; skip it this round.
+            passive[t] = False
+            grad[t] = -np.inf
+        # Step back along x -> z until every passive weight is positive.
+        y = x
+        while (z[passive] <= 0.0).any():
+            shrink = passive & (z <= 0.0)
+            alpha = np.min(y[shrink] / (y[shrink] - z[shrink]))
+            y = y + alpha * (z - y)
+            passive &= y > 0.0
+            passive[np.flatnonzero(shrink)[np.argmin(y[shrink])]] = False
+            y[~passive] = 0.0
+            z = solve(passive)
+        r_next = b - A @ z
+        if r_next @ r_next >= r @ r:
+            # In exact arithmetic every outer iteration lowers |r|, so one
+            # that does not has reached rounding level; without this stop
+            # degenerate grids cycle through the same few columns.
+            return x, r, iteration, True
+        x, r = z, r_next
+    return x, r, max_iterations, False
 
 
 def _decide_membership(
@@ -152,8 +167,18 @@ def _decide_membership(
 ):
     """Certified membership of target in cone(columns).
 
-    Returns (status, weights, functional) where the functional is the raw
-    vector l with l . columns <= 0 and l . target > 0, unit max-abs norm.
+    One Lawson-Hanson NNLS solve on the row-equilibrated, sign-flipped
+    system answers both ways.  A zero residual gives the witness; its
+    support is then thinned by recombination's kernel to independent
+    columns, so at most D of them, and the witness is re-checked in the
+    original coordinates.  A nonzero optimal residual r has A^T r <= 0 and
+    b . r = |r|^2 > 0, so r, mapped back to the original rows, is itself a
+    Farkas functional; it is re-checked against every column.  Anything
+    that passes neither re-check is Indeterminate.
+
+    Returns (status, weights, functional, iterations, reason) where the
+    functional is the raw vector l with l . columns <= 0 and l . target > 0,
+    unit max-abs norm, and reason says why a result is Indeterminate.
     """
     d, m = columns.shape
     if max_iterations is None:
@@ -169,30 +194,29 @@ def _decide_membership(
     a_eq = a_eq * flip[:, None]
     b_eq = b_eq * flip
 
-    outcome, basis, objective, dual = _phase1_simplex(a_eq, b_eq, max_iterations)
-    target_norm = float(np.abs(target).max(initial=0.0))
+    x, r, iterations, converged = _nnls(a_eq, b_eq, max_iterations)
+    if not converged:
+        return FeasibilityStatus.INDETERMINATE, None, None, iterations, "iteration_limit"
 
-    if outcome == "optimal" and objective <= feas_tol * (1.0 + float(np.abs(b_eq).max())):
-        structural = basis[basis < m]
-        weights = np.zeros(m)
-        if structural.size:
-            solution, *_ = np.linalg.lstsq(a_eq[:, structural], b_eq, rcond=None)
-            weights[structural] = np.maximum(solution, 0.0)
-        residual = float(np.abs(columns @ weights - target).max())
-        if residual <= feas_tol * (1.0 + target_norm):
-            return FeasibilityStatus.FEASIBLE, weights, None
-        return FeasibilityStatus.INDETERMINATE, None, None
+    support = np.flatnonzero(x > 0.0)
+    weights = np.zeros(m)
+    if support.size:
+        kept, kept_weights, _ = _sweep(a_eq[:, support], x[support], False)
+        weights[support[kept]] = kept_weights
+    residual = float(np.abs(columns @ weights - target).max(initial=0.0))
+    if residual <= feas_tol * (1.0 + float(np.abs(target).max(initial=0.0))):
+        return FeasibilityStatus.FEASIBLE, weights, None, iterations, None
 
-    if outcome == "optimal":
-        functional = flip * dual / row_scale
-        peak = float(np.abs(functional).max(initial=0.0))
-        if peak > 0.0:
-            functional = functional / peak
-            if (columns.T @ functional).max() <= cert_tol and functional @ target > cert_tol:
-                return FeasibilityStatus.INFEASIBLE, None, functional
-        return FeasibilityStatus.INDETERMINATE, None, None
-
-    return FeasibilityStatus.INDETERMINATE, None, None
+    functional = flip * r / row_scale
+    peak = float(np.abs(functional).max(initial=0.0))
+    if peak > 0.0:
+        functional = functional / peak
+        if (columns.T @ functional).max() <= cert_tol and functional @ target > cert_tol:
+            return FeasibilityStatus.INFEASIBLE, None, functional, iterations, None
+    # The solver's own margin b . r (|r|^2 at the optimum) says which answer
+    # it pointed to: too small to separate means the witness failed.
+    reason = "certificate_check" if float(b_eq @ r) > cert_tol else "residual_check"
+    return FeasibilityStatus.INDETERMINATE, None, None, iterations, reason
 
 
 def _as_target(moments) -> np.ndarray:
@@ -223,22 +247,18 @@ def cone_membership(
 ) -> FeasibilityResult:
     """Decide whether the moment vector is a nonnegative combination of columns.
 
-    Feasible results carry a basic solution with support at most D;
+    Feasible results carry weights with support at most D;
     Infeasible results carry a homogeneous separating functional (offset 0).
     """
     target = _as_target(moments)
     cols = _as_columns(columns, target.shape[0])
-    status, weights, functional = _decide_membership(
+    status, weights, functional, iterations, reason = _decide_membership(
         target, cols, feas_tol, cert_tol, max_iterations
     )
-    if status is FeasibilityStatus.FEASIBLE:
-        return FeasibilityResult(status=status, weights=weights)
-    if status is FeasibilityStatus.INFEASIBLE:
-        return FeasibilityResult(
-            status=status,
-            certificate=SeparatingFunctional(normal=functional, offset=0.0),
-        )
-    return FeasibilityResult(status=status)
+    certificate = None
+    if functional is not None:
+        certificate = SeparatingFunctional(normal=functional, offset=0.0)
+    return FeasibilityResult(status, weights, certificate, iterations, reason)
 
 
 def hull_membership(
@@ -261,19 +281,15 @@ def hull_membership(
     cols = _as_columns(columns, target.shape[0])
     augmented_cols = np.vstack([cols, np.ones(cols.shape[1])])
     augmented_target = np.append(target, 1.0)
-    status, weights, functional = _decide_membership(
+    status, weights, functional, iterations, reason = _decide_membership(
         augmented_target, augmented_cols, feas_tol, cert_tol, max_iterations
     )
-    if status is FeasibilityStatus.FEASIBLE:
-        return FeasibilityResult(status=status, weights=weights)
-    if status is FeasibilityStatus.INFEASIBLE:
-        return FeasibilityResult(
-            status=status,
-            certificate=SeparatingFunctional(
-                normal=functional[:-1], offset=-float(functional[-1])
-            ),
+    certificate = None
+    if functional is not None:
+        certificate = SeparatingFunctional(
+            normal=functional[:-1], offset=-float(functional[-1])
         )
-    return FeasibilityResult(status=status)
+    return FeasibilityResult(status, weights, certificate, iterations, reason)
 
 
 def truncated_moment_feasible(

@@ -151,6 +151,15 @@ def _is_json_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _json_float(value) -> float:
+    """float(value), reading an integer too large for a float as +-inf, as
+    the JSON parser already reads a float literal out of range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _parse_csv(text_file, num_vars):
     atoms = array("d")
     weights = array("d")
@@ -210,7 +219,7 @@ def _parse_jsonl(text_file, num_vars):
         x = obj["x"]
         if not isinstance(x, list) or not all(map(_is_json_number, x)):
             raise MeasureFormatError(f'line {lineno}: "x" must be an array of numbers')
-        row = [float(v) for v in x]
+        row = [_json_float(v) for v in x]
         if n is None:
             n = len(row)
         if len(row) != n:
@@ -220,10 +229,15 @@ def _parse_jsonl(text_file, num_vars):
         if any(not math.isfinite(v) for v in row):
             raise MeasureFormatError(f"line {lineno}: non-finite coordinate")
         w = obj.get("w", 1.0)
-        if not _is_json_number(w) or not math.isfinite(w) or w <= 0.0:
+        if not _is_json_number(w):
+            raise MeasureFormatError(f"line {lineno}: non-positive weight {w!r}")
+        w = _json_float(w)
+        if not math.isfinite(w):
+            raise MeasureFormatError(f"line {lineno}: non-finite weight")
+        if w <= 0.0:
             raise MeasureFormatError(f"line {lineno}: non-positive weight {w!r}")
         atoms.extend(row)
-        weights.append(float(w))
+        weights.append(w)
     return atoms, weights
 
 

@@ -23,10 +23,12 @@ from momcube import (
     hull_membership,
     moment_vector,
     reduce,
+    truncated_moment_feasible,
     verify_cubature,
 )
 from momcube.cli import main as cli_main
-from oracles import enumerate_positive_cubatures
+from momcube.geometry import DEFAULT_FEAS_TOL
+from oracles import enumerate_positive_cubatures, fsum_moments, gaussian_moment
 
 MOMENT_TOL = 1e-8
 MASS_TOL = 1e-12
@@ -301,3 +303,33 @@ class TestAcceptance:
         parsed = json.loads(payloads[0])
         assert len(parsed["weights"]) <= 10
         print("\nACCEPTANCE 10 determinism: PASS (byte-identical cubature JSON)")
+
+    @pytest.mark.parametrize(
+        "num_vars, degree, points", [(2, 6, 2_000), (2, 10, 10_000)], ids=["m6", "m10"]
+    )
+    def test_11_tchakaloff_gaussian(self, num_vars, degree, points):
+        # The Gaussian is not compactly supported; Tchakaloff's theorem still
+        # gives a degree-m cubature with nodes in its support.  The candidate
+        # nodes are a sample cloud spread 1.3 times wider than the measure.
+        cloud = 1.3 * np.random.default_rng(0).standard_normal((points, num_vars))
+        basis = build_basis(num_vars, [1] * num_vars, degree)
+        moments = {alpha: gaussian_moment(alpha) for alpha in basis.indices}
+        started = time.perf_counter()
+        result, witness = truncated_moment_feasible(
+            moments, cloud, num_vars, [1] * num_vars, degree
+        )
+        elapsed = time.perf_counter() - started
+        assert result.status is FeasibilityStatus.FEASIBLE
+        assert witness.num_atoms <= basis.dimension
+        assert (witness.weights > 0).all()
+        rows = {tuple(p) for p in cloud.tolist()}
+        assert all(tuple(p) in rows for p in witness.atoms.tolist())
+        target = np.array([moments[alpha] for alpha in basis.indices])
+        achieved = fsum_moments(witness.atoms, witness.weights, basis.indices)
+        assert np.abs(achieved - target).max() <= DEFAULT_FEAS_TOL * (
+            1.0 + np.abs(target).max()
+        )
+        print(
+            f"\nACCEPTANCE 11 tchakaloff-gaussian: PASS (N={num_vars}, m={degree}, "
+            f"{witness.num_atoms} of {points} nodes, D={basis.dimension}, {elapsed:.2f}s)"
+        )

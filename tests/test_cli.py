@@ -150,6 +150,14 @@ class TestMomentsCommand:
         assert feasibility["witness"] is not None
 
 
+    def test_jsonl_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        source = _write(tmp_path / "m.jsonl", '{"x": [1.0]}\n{"x": [1%s]}\n' % ("0" * 400))
+        code = main(["moments", "--input", source, "--format", "jsonl",
+                     "--degree", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "line 2: non-finite coordinate" in capsys.readouterr().err
+
+
 class TestFeasibleCommand:
     def _moment_file(self, tmp_path, values):
         payload = {
@@ -176,6 +184,7 @@ class TestFeasibleCommand:
         assert code == 0
         payload = json.loads((tmp_path / "out" / "feasibility.json").read_text())
         np.testing.assert_allclose(payload["weights"], [0.25, 0.5, 0.25], atol=1e-9)
+        assert payload["iterations"] >= 1 and payload["reason"] is None
 
     def test_malformed_moment_file_exits_two(self, tmp_path, capsys):
         grid = _write(tmp_path / "grid.csv", "0\n")

@@ -7,6 +7,7 @@ import pytest
 
 from momcube import (
     DiscreteMeasure,
+    FeasibilityResult,
     FeasibilityStatus,
     build_basis,
     cone_membership,
@@ -20,7 +21,7 @@ from momcube import (
     truncated_moment_feasible,
     verify_cubature,
 )
-from momcube.geometry import moment_key, parse_moment_key
+from momcube.geometry import DEFAULT_FEAS_TOL, moment_key, parse_moment_key
 from oracles import cone_member_bruteforce, fsum_moments, hull_member_bruteforce
 
 
@@ -96,6 +97,7 @@ class TestConeMembership:
         result = cone_membership(target, columns, max_iterations=1)
         assert result.status is FeasibilityStatus.INDETERMINATE
         assert result.weights is None and result.certificate is None
+        assert result.reason == "iteration_limit"
 
     def test_weights_xor_certificate(self):
         _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
@@ -240,6 +242,118 @@ class TestTruncatedMomentFeasible:
         assert cubature.num_nodes <= basis.dimension
         verification = verify_cubature(witness, cubature, basis, 1e-8)
         assert verification.max_residual_rel <= 1e-8
+
+
+def _tensor_grid(side):
+    line = np.linspace(-1.0, 1.0, side)
+    return np.array([(x, y) for x in line for y in line])
+
+
+def _moments(basis, points, weights):
+    return dict(zip(basis.indices, fsum_moments(points, weights, basis.indices)))
+
+
+def _assert_witness(result, witness, grid, basis, moments):
+    """FEASIBLE with at most D positive-weight grid points matching the moments."""
+    assert result.status is FeasibilityStatus.FEASIBLE
+    assert result.reason is None and result.iterations >= 1
+    assert witness.num_atoms <= basis.dimension
+    assert (witness.weights > 0.0).all()
+    rows = {tuple(p) for p in grid.tolist()}
+    assert all(tuple(p) in rows for p in witness.atoms.tolist())
+    target = np.array([moments[a] for a in basis.indices])
+    mass = target[0]
+    achieved = fsum_moments(witness.atoms, witness.weights, basis.indices)
+    limit = DEFAULT_FEAS_TOL * (1.0 + np.abs(target / mass).max()) * mass
+    assert np.abs(achieved - target).max() <= limit
+
+
+class TestDegenerateGrids:
+    """A 20 x 20 tensor grid at degree 6 (D = 28) has many collinear points,
+    so the columns are far from general position."""
+
+    @pytest.mark.parametrize("support", [10, 400], ids=["sparse", "full"])
+    @pytest.mark.parametrize("seed", [3, 7, 11, 45])
+    def test_tensor_grid_targets_are_decided_feasible(self, seed, support):
+        # Seed 45's sparse target makes the solver cycle through a few
+        # columns at rounding level unless a non-improving step stops it.
+        rng = np.random.default_rng(seed)
+        grid = _tensor_grid(20)
+        basis = build_basis(2, [1, 1], 6)
+        chosen = np.sort(rng.choice(grid.shape[0], size=support, replace=False))
+        moments = _moments(basis, grid[chosen], rng.uniform(0.1, 2.0, support))
+        result, witness = truncated_moment_feasible(moments, grid, 2, [1, 1], 6)
+        _assert_witness(result, witness, grid, basis, moments)
+
+    def test_face_target_certificate_is_valid(self):
+        rng = np.random.default_rng(5)
+        grid = _tensor_grid(20)
+        basis = build_basis(2, [1, 1], 6)
+        points = rng.uniform(-1.0, 1.0, size=(10, 2))
+        points[:, 0] = rng.uniform(1.2, 2.0, size=10)  # beyond the face x = 1
+        moments = _moments(basis, points, rng.uniform(0.1, 2.0, 10))
+        result, witness = truncated_moment_feasible(moments, grid, 2, [1, 1], 6)
+        assert result.status is FeasibilityStatus.INFEASIBLE and witness is None
+        target = np.array([moments[a] for a in basis.indices])
+        columns = embed_block(basis, grid)
+        assert result.certificate.is_valid(columns, target / target[0], 1e-9)
+
+    @pytest.mark.parametrize(
+        "seed, degree, layout",
+        [(1, 2, "repeated"), (2, 2, "repeated"), (3, 3, "mirrored")],
+    )
+    def test_duplicated_points_keep_support_within_dimension(self, seed, degree, layout):
+        # Left alone, the solver's support here is D + 1 columns of rank D.
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, size=(40, 2))
+        if layout == "repeated":
+            grid = np.repeat(points[:12], 3, axis=0)
+        else:
+            grid = np.concatenate([points, points[::-1], points[:7]])
+        basis = build_basis(2, [1, 1], degree)
+        moments = _moments(basis, grid, rng.uniform(0.1, 2.0, grid.shape[0]))
+        result, witness = truncated_moment_feasible(moments, grid, 2, [1, 1], degree)
+        _assert_witness(result, witness, grid, basis, moments)
+
+    def test_one_iteration_is_indeterminate(self):
+        rng = np.random.default_rng(3)
+        grid = _tensor_grid(20)
+        basis = build_basis(2, [1, 1], 6)
+        moments = _moments(basis, grid, rng.uniform(0.1, 2.0, grid.shape[0]))
+        result, witness = truncated_moment_feasible(
+            moments, grid, 2, [1, 1], 6, max_iterations=1
+        )
+        assert result.status is FeasibilityStatus.INDETERMINATE and witness is None
+        assert result.reason == "iteration_limit" and result.iterations == 1
+
+
+class TestIndeterminateReasons:
+    def test_unreachable_residual_tolerance(self):
+        rng = np.random.default_rng(29)
+        columns = rng.uniform(0.1, 1.0, (4, 9))
+        target = columns @ rng.uniform(0.1, 1.0, 9)
+        result = cone_membership(target, columns, feas_tol=1e-300)
+        assert result.status is FeasibilityStatus.INDETERMINATE
+        assert result.reason == "residual_check"
+        assert result.to_dict()["reason"] == "residual_check"
+
+    def test_unreachable_certificate_tolerance(self):
+        _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
+        result = cone_membership(np.array([1.0, 0.0, 2.0]), columns, cert_tol=-0.5)
+        assert result.status is FeasibilityStatus.INDETERMINATE
+        assert result.reason == "certificate_check"
+
+    def test_decided_results_carry_no_reason(self):
+        _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
+        for target in ([1.0, 0.0, 0.5], [1.0, 0.0, 2.0]):
+            payload = cone_membership(np.array(target), columns).to_dict()
+            assert payload["reason"] is None and payload["iterations"] >= 1
+
+    def test_reason_only_for_indeterminate(self):
+        with pytest.raises(ValueError, match="reason"):
+            FeasibilityResult(FeasibilityStatus.FEASIBLE, np.ones(2), reason="residual_check")
+        with pytest.raises(ValueError, match="reason"):
+            FeasibilityResult(FeasibilityStatus.INDETERMINATE)
 
 
 class TestMomentFiles:

@@ -110,6 +110,20 @@ class TestLoadMeasureJsonl:
         with pytest.raises(MeasureFormatError, match=f"line 1: {message}"):
             load_measure(_csv(line + "\n"), "jsonl")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"x": [%s]}', "non-finite coordinate"),
+            ('{"x": [-%s]}', "non-finite coordinate"),
+            ('{"x": [1.0], "w": %s}', "non-finite weight"),
+        ],
+        ids=["x", "negative-x", "w"],
+    )
+    def test_integer_too_large_for_a_float_rejected(self, line, message):
+        huge = "1" + "0" * 400
+        with pytest.raises(MeasureFormatError, match=f"line 2: {message}"):
+            load_measure(_csv('{"x": [1.0]}\n' + line % huge + "\n"), "jsonl")
+
     def test_inconsistent_length_rejected(self):
         with pytest.raises(MeasureFormatError, match="line 2"):
             load_measure(_csv('{"x": [1.0, 2.0]}\n{"x": [1.0]}\n'), "jsonl")
