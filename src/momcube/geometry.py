@@ -201,7 +201,7 @@ def _decide_membership(
     support = np.flatnonzero(x > 0.0)
     weights = np.zeros(m)
     if support.size:
-        kept, kept_weights, _ = _sweep(a_eq[:, support], x[support], False)
+        kept, kept_weights, _, _ = _sweep(a_eq[:, support], x[support], False)
         weights[support[kept]] = kept_weights
     residual = float(np.abs(columns @ weights - target).max(initial=0.0))
     if residual <= feas_tol * (1.0 + float(np.abs(target).max(initial=0.0))):

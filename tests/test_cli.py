@@ -47,6 +47,9 @@ class TestReduceCommand:
         assert report["initial_atoms"] == 5
         assert report["tree_levels"] == 0  # 5 atoms fit the base case (2D = 6)
         assert report["rank_tol_factor"] >= 1.0
+        assert report["factorizations"] >= 1
+        assert report["weight_ratio"] >= 1.0
+        assert report["node_condition"] >= 1.0
         verification = json.loads((out / "verification_report.json").read_text())
         assert verification["max_residual_rel"] <= 1e-8
 

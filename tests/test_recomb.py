@@ -238,6 +238,74 @@ class TestReduce:
             np.testing.assert_allclose(cubature.weights, valid[key], rtol=1e-8, atol=1e-9)
 
 
+class TestSweepFactorizations:
+    """The kernel factorizes once per round and eliminates along the null
+    basis with Gaussian column updates."""
+
+    def test_two_factorizations_per_kernel_call_at_d126(self):
+        rng = np.random.default_rng(131)
+        measure = DiscreteMeasure(
+            rng.uniform(-1.0, 1.0, (3000, 4)), rng.uniform(0.1, 2.0, 3000)
+        )
+        cubature, report = cubature_of_degree(measure, 4, [1, 1, 1, 1], 5)
+        assert cubature.num_nodes <= 126
+        # One kernel call per tree level plus the base case; each takes one
+        # SVD and one closing check.  Uniform atoms give no ties, so no
+        # round ends early.
+        kernel_calls = report.tree_levels + 1
+        assert report.tree_levels > 0
+        assert report.factorizations <= 2 * kernel_calls
+        assert 20 * report.factorizations < report.elimination_steps
+
+    def test_tie_refactorizes(self):
+        # The one null direction is proportional to (1, -2, 2, -1); with
+        # weights (1, 2, 2, 1) either sign zeroes two weights in one step,
+        # which ends the round: the next factorization is the closing check.
+        measure = DiscreteMeasure(
+            np.array([[-1.0], [-0.5], [0.5], [1.0]]), np.array([1.0, 2.0, 2.0, 1.0])
+        )
+        basis = build_basis(1, [1], 2)
+        cubature, report = reduce(measure, basis)
+        assert report.elimination_steps == 1
+        assert report.factorizations == 2
+        assert cubature.num_nodes == 2
+        target = fsum_moments(measure.atoms, measure.weights, basis.indices)
+        achieved = fsum_moments(cubature.nodes, cubature.weights, basis.indices)
+        assert (np.abs(achieved - target) <= 1e-14 * (1.0 + np.abs(target))).all()
+
+    @pytest.mark.parametrize(
+        "atoms, min_tol_factor",
+        [
+            pytest.param(
+                np.random.default_rng(137).uniform(0.0, 1.0, 42) ** 3, 1.0, id="clustered"
+            ),
+            pytest.param(
+                1e6 + np.random.default_rng(139).uniform(0.0, 1.0, 42), 1e6, id="offset"
+            ),
+        ],
+    )
+    def test_long_update_chain_keeps_the_contract(self, atoms, min_tol_factor):
+        # 42 atoms at degree 20 (D = 21) are one base case: about 21
+        # eliminations ride on Gaussian updates of one ill-conditioned null
+        # basis.
+        measure = DiscreteMeasure(
+            atoms.reshape(-1, 1), np.random.default_rng(149).uniform(0.5, 2.0, 42)
+        )
+        basis = build_basis(1, [1], 20)
+        cubature, report = reduce(measure, basis)
+        assert report.elimination_steps > 2 * report.factorizations
+        assert report.rank_tol_factor >= min_tol_factor
+        assert 1 <= cubature.num_nodes <= basis.dimension
+        assert (cubature.weights > 0).all()
+        np.testing.assert_array_equal(cubature.nodes, measure.atoms[cubature.node_indices])
+        verification = verify_cubature(measure, cubature, basis, 1e-8)
+        assert verification.max_residual_rel <= 1e-8
+        assert verification.mass_gap_rel <= 1e-12
+        again, _ = reduce(measure, basis)
+        np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
+        np.testing.assert_array_equal(again.weights, cubature.weights)
+
+
 class TestReduceStreaming:
     """reduce on inputs far larger than D: many tree levels, several chunks."""
 
