@@ -5,6 +5,15 @@ either a MonomialBasis or an arbitrary FunctionDictionary (a deterministic
 point-to-vector map), which covers reduction against push-forward feature
 systems.  Moment accumulation uses chunked Neumaier (compensated) summation
 so that exactness tests survive atom counts in the millions.
+
+CSV ingest has two paths over the same text.  ``_parse_csv`` reads line by
+line and is the definition of the format: every rule and every
+``MeasureFormatError`` message, with its line number, comes from it.  In
+front of it, ``_load_csv_block`` parses the whole file in one
+``np.loadtxt`` call and checks the rules on the resulting array.  It either
+returns exactly what the line parser would, or declines, and then the line
+parser reads the file from the start.  A leading UTF-8 byte-order mark, as
+spreadsheet exports write it, is dropped before either format is parsed.
 """
 
 from __future__ import annotations
@@ -125,15 +134,19 @@ def feature_count(features: Features) -> int:
 
 
 def _open_text(source: Union[str, Path, IO]):
-    """Yield (text-file object, should_close)."""
+    """Yield (seekable text-file object, should_close).
+
+    Paths and bytes are decoded as UTF-8 with an optional leading
+    byte-order mark ("utf-8-sig"), which the decoder drops.
+    """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
+        return open(source, "r", encoding="utf-8-sig"), True
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8")), True
+        return io.StringIO(source.decode("utf-8-sig")), True
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         return io.StringIO(data), True
     raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
 
@@ -202,6 +215,51 @@ def _parse_csv(text_file, num_vars):
     return atoms, weights
 
 
+def _load_csv_block(text_file, num_vars):
+    """(atoms, weights) from one ``np.loadtxt`` call, or None to decline.
+
+    Blank lines and a header (by ``_parse_csv``'s rule: a first non-blank
+    line in which no cell parses as a float) are skipped here, so
+    ``loadtxt`` starts at the first data line and reads the rest of the file
+    in one block; the rules are then checked on the array.  ``loadtxt``
+    refuses a superset of what ``float()`` refuses (underscores, non-ASCII
+    digits, whitespace-only lines, empty, quoted or ``#`` cells), and where
+    both accept a cell they give the same double.  So any input this
+    returns None for (a refusal, no data or a broken rule) is left to the
+    line parser, which accepts it or names the offending line.
+    """
+    header = None  # the header's width, once one is seen
+    while True:
+        # readline, not iteration: tell() is unavailable on a text file
+        # while it is being iterated.
+        start = text_file.tell()
+        line = text_file.readline()
+        if not line:
+            return None
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.strip().split(",")]
+        if header is not None or any(map(_parses_as_float, cells)):
+            break
+        header = len(cells)
+    text_file.seek(start)
+    try:
+        # comments=None: "#" is a non-numeric value, not a comment.
+        data = np.loadtxt(text_file, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    ncols = data.shape[1]
+    if header is not None and ncols != header:
+        return None
+    if not np.isfinite(data).all():
+        return None
+    if num_vars is None or ncols == num_vars:
+        return data, np.ones(data.shape[0])
+    if ncols != num_vars + 1 or not (data[:, -1] > 0.0).all():
+        return None
+    return data[:, :-1], data[:, -1]
+
+
 def _parse_jsonl(text_file, num_vars):
     atoms = array("d")
     weights = array("d")
@@ -249,11 +307,21 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     coordinate).  A first row in which no cell is a number is treated as a
     header.  JSONL rows are objects with an "x" array of numbers and an
     optional positive number "w"; booleans are not numbers.
-    Missing weights default to 1.
+    Missing weights default to 1.  A leading UTF-8 byte-order mark is
+    accepted in both formats.
+
+    A CSV file is parsed in one vectorised block when it follows the rules;
+    otherwise it is read again by the line parser, which is the only source
+    of format errors, so messages and line numbers do not depend on the
+    path taken.
     """
     text_file, should_close = _open_text(source)
     try:
         if fmt == "csv":
+            block = _load_csv_block(text_file, num_vars)
+            if block is not None:
+                return DiscreteMeasure(*block)
+            text_file.seek(0)
             atoms, weights = _parse_csv(text_file, num_vars)
         elif fmt == "jsonl":
             atoms, weights = _parse_jsonl(text_file, num_vars)
@@ -264,8 +332,8 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
             text_file.close()
     if not weights:
         raise MeasureFormatError("no atoms in input")
-    # Rows were appended flat, one float per cell, so no Python object per row
-    # outlives the parse.
+    # The line parsers append rows flat, one float per cell, so no Python
+    # object per row outlives the parse.
     return DiscreteMeasure(
         np.frombuffer(atoms, dtype=float).reshape(len(weights), -1),
         np.frombuffer(weights, dtype=float),

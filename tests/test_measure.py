@@ -1,9 +1,12 @@
 """Tests for measure ingestion, feature matrices, and moment vectors."""
 
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momcube import (
     DiscreteMeasure,
@@ -15,6 +18,7 @@ from momcube import (
     load_measure,
     moment_vector,
 )
+from momcube import measure
 from oracles import fsum_moments
 
 
@@ -78,6 +82,127 @@ class TestLoadMeasureCsv:
         m = load_measure(path, "csv", num_vars=1)
         np.testing.assert_array_equal(m.atoms, [[0.25], [-3.0]])
         np.testing.assert_array_equal(m.weights, [1.5, 0.5])
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestLoadMeasureBom:
+    def test_headerless_csv_path(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(BOM + b"1.0,2.0,0.5\n3.0,4.0,1.5\n")
+        m = load_measure(path, "csv", num_vars=2)
+        np.testing.assert_array_equal(m.atoms, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(m.weights, [0.5, 1.5])
+
+    def test_headerless_csv_bytes_on_the_line_parser(self):
+        # 1_000 sends the file to the line parser, which must not see the BOM.
+        m = load_measure(BOM + b"1_000,2.0,0.5\n", "csv", num_vars=2)
+        np.testing.assert_array_equal(m.atoms, [[1000.0, 2.0]])
+
+    def test_jsonl(self):
+        m = load_measure(io.BytesIO(BOM + b'{"x": [1.0, 2.0], "w": 0.5}\n'), "jsonl")
+        np.testing.assert_array_equal(m.atoms, [[1.0, 2.0]])
+        np.testing.assert_array_equal(m.weights, [0.5])
+
+
+def _rows(count, bad=None):
+    """count gen-style rows "x,y,z,w"; row ``bad`` (1-based) replaced."""
+    lines = [f"{0.5 * i!r},{-0.25 * i!r},{1.0 + i!r},{0.5 + i % 7!r}\n" for i in range(count)]
+    if bad is not None:
+        index, text = bad
+        lines[index - 1] = text
+    return "".join(lines)
+
+
+class TestCsvBlockFallback:
+    """Inputs the block parse refuses are read again by the line parser."""
+
+    def test_block_parse_takes_well_formed_files(self):
+        for text in ["1.0,2.0,0.5\n", "x,y,w\n\n1.0,2.0,0.5\r\n3,4,1\r\n", " 1 , 2 \n3,4\n\n"]:
+            assert measure._load_csv_block(io.StringIO(text), 2) is not None, text
+
+    def test_last_row_nan_names_its_line(self):
+        text = _rows(70_001, bad=(70_001, "1.0,2.0,nan,1.0\n"))
+        with pytest.raises(MeasureFormatError, match="^line 70001: non-finite value$"):
+            load_measure(_csv(text), "csv", num_vars=3)
+
+    def test_wrong_width_deep_in_the_file_names_its_line(self):
+        text = _rows(70_001, bad=(50_000, "1.0,2.0,1.0\n"))
+        with pytest.raises(MeasureFormatError, match="^line 50000: expected 4 columns, got 3$"):
+            load_measure(_csv(text), "csv", num_vars=3)
+
+    def test_underscore_digits_load(self):
+        m = load_measure(_csv("1_000,2.5\n3,4\n"), "csv", num_vars=1)
+        np.testing.assert_array_equal(m.atoms, [[1000.0], [3.0]])
+        np.testing.assert_array_equal(m.weights, [2.5, 4.0])
+
+    def test_whitespace_only_line_skipped(self):
+        m = load_measure(_csv("1.0,2.0\n \t \n3.0,4.0\n"), "csv", num_vars=2)
+        np.testing.assert_array_equal(m.atoms, [[1.0, 2.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(m.weights, [1.0, 1.0])
+
+
+_NUMBERS = st.one_of(st.floats(1e-3, 1e3), st.floats(allow_nan=False), st.integers(1, 9))
+_ODD_CELLS = st.sampled_from([
+    "0", "-0.0", "-1.5", "1e400", "1e-400", "+.5", "-iNF", "inf", "nan", "1_000", "\u0661",
+    "", "#1", '"2"', "abc", "1d5", "0x10",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """(CSV text, num_vars): mostly well formed, with every kind of defect."""
+    width = draw(st.integers(1, 4))
+    lines = []
+    header = draw(st.sampled_from([None, None, "names", "names", "odd"]))
+    if header is not None:
+        names = ["x", "y", " w ", "label"] + (["1", ""] if header == "odd" else [])
+        n = draw(st.integers(width - 1, width + 1)) if header == "odd" else width
+        lines.append(",".join(draw(st.lists(st.sampled_from(names), min_size=n, max_size=n))))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 12 + ["odd", "ragged", "blank", "space", "trailing"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "space":
+            lines.append(draw(st.sampled_from([" ", "\t", " \x0c "])))
+            continue
+        n = draw(st.integers(1, width + 2)) if kind == "ragged" else width
+        cells = [repr(v) if isinstance(v, float) else str(v)
+                 for v in draw(st.lists(_NUMBERS, min_size=n, max_size=n))]
+        if kind == "odd":
+            cells[draw(st.integers(0, n - 1))] = draw(_ODD_CELLS)
+        pad = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(",".join(pad + c + pad for c in cells) + ("," if kind == "trailing" else ""))
+    ends = draw(st.lists(st.sampled_from(["\n"] * 8 + ["\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    num_vars = draw(st.sampled_from([None, width] + ([width - 1] if width > 1 else [])))
+    return text, num_vars
+
+
+def _outcome(source, num_vars):
+    try:
+        m = load_measure(source, "csv", num_vars=num_vars)
+    except MeasureFormatError as exc:
+        return "error", str(exc)
+    return m.atoms.shape, m.atoms.tobytes(), m.weights.tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(csv_texts(), st.booleans())
+@example(("1,2\n#3,4\n", None), False)  # "#" starts no comment
+@example(("x,y\n", 2), True)
+@example(("x,y\n\na,b\n1,2\n", None), False)  # only the first line can be a header
+def test_block_parse_matches_the_line_parser(case, bom):
+    text, num_vars = case
+    data = ("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8")
+    with mock.patch.object(measure, "_load_csv_block", return_value=None):
+        want = _outcome(data, num_vars)
+    assert _outcome(data, num_vars) == want
 
 
 class TestLoadMeasureJsonl:
