@@ -2,18 +2,21 @@
 
 All results are written as JSON files into the output directory; the
 terminal gets a one-line summary per run.  Configuration comes from an
-optional JSON file plus flag overrides, flags winning.  Exit codes:
-0 success (verification passed / feasible), 1 verification failed or
-infeasible, 2 input or config error, 3 indeterminate.
+optional JSON file plus flag overrides, flags winning.  Each subcommand
+takes only the options it reads, and a config value passes the same check
+as its flag.  Exit codes: 0 success (verification passed / feasible),
+1 verification failed or infeasible, 2 input or config error,
+3 indeterminate.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,116 +42,151 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    """Merged file + flag configuration for one run."""
-
-    mode: str
-    input_path: str | None = None
-    fmt: str = "csv"
-    out_dir: str = "."
-    num_vars: int | None = None
-    degree_weights: list[int] | None = None
-    max_degree: int | None = None
-    tol: float = 1e-8
-    mass_tol: float = 1e-12
-    feas_tol: float = 1e-9
-    seed: int = 0
-    grid_path: str | None = None
-    cubature_path: str | None = None
-    num_atoms: int = 100
-    unit_weights: bool = False
-
-    def __post_init__(self):
-        if self.tol <= 0.0 or self.mass_tol <= 0.0 or self.feas_tol <= 0.0:
-            raise CliError("tolerances must be positive")
+# Option checks: each takes a flag's text or a config file's JSON value and
+# returns the option's value or raises ValueError.
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expects a string, got {value!r}")
+    return value
 
 
-def _read_config_file(path: str) -> dict:
+def _format(value) -> str:
+    if value not in ("csv", "jsonl"):
+        raise ValueError(f"expects csv or jsonl, got {value!r}")
+    return value
+
+
+def _integer(low: int) -> Callable[[object], int]:
+    def check(value) -> int:
+        if isinstance(value, str):
+            try:
+                value = int(value)
+            except ValueError:
+                pass
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValueError(f"expects an integer >= {low}, got {value!r}")
+        return value
+    return check
+
+
+def _positive(value) -> float:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if not 0.0 < number < math.inf:
+        raise ValueError(f"expects a positive number, got {value!r}")
+    return number
+
+
+def _weights(value) -> list[int]:
+    items = value.split(",") if isinstance(value, str) else value
+    if isinstance(items, list):
+        try:
+            return [_integer(1)(w) for w in items]
+        except ValueError:
+            pass
+    raise ValueError(f"expects comma-separated positive integers, got {value!r}")
+
+
+def _switch(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expects true or false, got {value!r}")
+    return value
+
+
+class _Option(NamedTuple):
+    key: str  # config key; "basis.k" is key k of the "basis" block
+    check: Callable[[object], object]
+    default: object  # ... for a required option
+    help: str
+
+
+# Every option by its flag.  argparse stores a flag under its name with "_"
+# for "-" (--out-dir as out_dir), and the commands read it by that name.
+_OPTIONS = {
+    "--input": _Option("input", _text, ..., "measure file; for feasible, the moment file"),
+    "--format": _Option("format", _format, "csv", "csv or jsonl; for feasible, the grid's format"),
+    "--out-dir": _Option("out_dir", _text, ".", "directory for output files"),
+    "--num-vars": _Option("basis.num_vars", _integer(1), None, "number of coordinates"),
+    "--degree": _Option("basis.max_degree", _integer(0), ..., "maximum weighted degree"),
+    "--weights": _Option("basis.degree_weights", _weights, None, "degree weights, e.g. 1,2"),
+    "--tol": _Option("tol", _positive, 1e-8, "verification tolerance"),
+    "--mass-tol": _Option("mass_tol", _positive, 1e-12, "mass conservation tolerance"),
+    "--feas-tol": _Option("feas_tol", _positive, 1e-9, "feasibility/certificate tolerance"),
+    "--grid": _Option("grid", _text, ..., "candidate support grid file"),
+    "--cubature": _Option("cubature", _text, ..., "cubature JSON file to verify"),
+    "--seed": _Option("seed", _integer(0), 0, "generator seed"),
+    "--num-atoms": _Option("num_atoms", _integer(1), 100, "number of atoms to generate"),
+    "--unit-weights": _Option("unit_weights", _switch, False, "give every atom weight 1"),
+}
+
+
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object in a UTF-8 file; a leading byte-order mark is accepted."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from exc
+        raise CliError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:
+        raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise CliError(f"config {path} must hold a JSON object")
+        raise CliError(f"{what} {path} must hold a JSON object")
     return data
 
 
-def _pick(flag, config: dict, key: str, default):
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    return default
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """The options the command reads, each from its flag, else the config
+    file, else its default; a flag value and a config value pass one check."""
+    config = _read_json(args.config, "config") if args.config else {}
+    settings = argparse.Namespace()
+    for flag in _COMMANDS[args.command].flags.split():
+        option = _OPTIONS[flag]
+        name = flag[2:].replace("-", "_")
+        value, where = getattr(args, name), ""
+        if value is None:
+            section, _, key = option.key.rpartition(".")
+            block = config.get(section, {}) if section else config
+            if not isinstance(block, dict):
+                raise CliError(f"config key {section!r} must hold a JSON object")
+            value, where = block.get(key), f" (config key {option.key!r})"
+        if value is None:
+            if option.default is ...:
+                raise CliError(f"missing {flag} (or config key {option.key!r})")
+            value = option.default
+        else:
+            try:
+                value = option.check(value)
+            except ValueError as exc:
+                raise CliError(f"{flag}{where} {exc}") from None
+        setattr(settings, name, value)
+    return settings
 
 
-def _build_run_config(args: argparse.Namespace) -> RunConfig:
-    config = _read_config_file(args.config) if args.config else {}
-    basis_block = config.get("basis", {})
-
-    degree_weights = getattr(args, "weights", None)
-    if degree_weights is not None:
-        try:
-            degree_weights = [int(w) for w in degree_weights.split(",")]
-        except ValueError:
-            raise CliError(
-                f"--weights expects comma-separated integers, got {degree_weights!r}"
-            )
-    elif "degree_weights" in basis_block:
-        degree_weights = list(basis_block["degree_weights"])
-
-    try:
-        return RunConfig(
-            mode=args.command,
-            input_path=_pick(args.input, config, "input", None),
-            fmt=_pick(args.format, config, "format", "csv"),
-            out_dir=_pick(args.out_dir, config, "out_dir", "."),
-            num_vars=_pick(getattr(args, "num_vars", None), basis_block, "num_vars", None),
-            degree_weights=degree_weights,
-            max_degree=_pick(getattr(args, "degree", None), basis_block, "max_degree", None),
-            tol=float(_pick(args.tol, config, "tol", 1e-8)),
-            mass_tol=float(_pick(getattr(args, "mass_tol", None), config, "mass_tol", 1e-12)),
-            feas_tol=float(_pick(getattr(args, "feas_tol", None), config, "feas_tol", 1e-9)),
-            seed=int(_pick(getattr(args, "seed", None), config, "seed", 0)),
-            grid_path=_pick(getattr(args, "grid", None), config, "grid", None),
-            cubature_path=_pick(getattr(args, "cubature", None), config, "cubature", None),
-            num_atoms=int(_pick(getattr(args, "num_atoms", None), config, "num_atoms", 100)),
-            unit_weights=bool(getattr(args, "unit_weights", False) or config.get("unit_weights", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad configuration value: {exc}") from exc
-
-
-def _load_input_measure(cfg: RunConfig) -> DiscreteMeasure:
-    if not cfg.input_path:
-        raise CliError("no input file given (use --input or the config)")
-    if cfg.fmt == "csv" and cfg.num_vars is None:
+def _load_input_measure(cfg: argparse.Namespace) -> DiscreteMeasure:
+    if cfg.format == "csv" and cfg.num_vars is None:
         # Without the dimension a trailing weight column is indistinguishable
         # from a coordinate.
         raise CliError(
             "csv input needs the coordinate count (--num-vars or the config basis block)"
         )
     try:
-        return load_measure(cfg.input_path, cfg.fmt, num_vars=cfg.num_vars)
+        return load_measure(cfg.input, cfg.format, num_vars=cfg.num_vars)
     except (MeasureFormatError, ValueError) as exc:
-        raise CliError(f"{cfg.input_path}: {exc}") from exc
+        raise CliError(f"{cfg.input}: {exc}") from exc
     except OSError as exc:
-        raise CliError(f"cannot read {cfg.input_path}: {exc}") from exc
+        raise CliError(f"cannot read {cfg.input}: {exc}") from exc
 
 
-def _require_basis(cfg: RunConfig, measure: DiscreteMeasure) -> MonomialBasis:
+def _require_basis(cfg: argparse.Namespace, measure: DiscreteMeasure) -> MonomialBasis:
     num_vars = cfg.num_vars if cfg.num_vars is not None else measure.num_vars
     if num_vars != measure.num_vars:
         raise CliError(
             f"config says {num_vars} coordinates but input has {measure.num_vars}"
         )
-    if cfg.max_degree is None:
-        raise CliError("no degree given (use --degree or the config basis block)")
     try:
-        return build_basis(num_vars, cfg.degree_weights, cfg.max_degree)
+        return build_basis(num_vars, cfg.weights, cfg.degree)
     except BasisError as exc:
         raise CliError(str(exc)) from exc
 
@@ -163,7 +201,7 @@ def _write_json(out_dir: str, name: str, payload: dict) -> Path:
     return path
 
 
-def cmd_reduce(cfg: RunConfig) -> int:
+def cmd_reduce(cfg: argparse.Namespace) -> int:
     measure = _load_input_measure(cfg)
     basis = _require_basis(cfg, measure)
     try:
@@ -188,7 +226,7 @@ def cmd_reduce(cfg: RunConfig) -> int:
     return 0 if passed else _EXIT_FAIL
 
 
-def cmd_moments(cfg: RunConfig) -> int:
+def cmd_moments(cfg: argparse.Namespace) -> int:
     measure = _load_input_measure(cfg)
     basis = _require_basis(cfg, measure)
     moments = moment_vector(measure, basis)
@@ -199,19 +237,15 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_feasible(cfg: RunConfig) -> int:
-    if not cfg.input_path:
-        raise CliError("no moment file given (use --input or the config)")
-    if not cfg.grid_path:
-        raise CliError("no grid file given (use --grid or the config)")
+def cmd_feasible(cfg: argparse.Namespace) -> int:
     try:
-        basis, moments = load_moment_file(cfg.input_path)
+        basis, moments = load_moment_file(cfg.input)
     except (OSError, ValueError) as exc:
-        raise CliError(f"{cfg.input_path}: {exc}") from exc
+        raise CliError(f"{cfg.input}: {exc}") from exc
     try:
-        grid = load_measure(cfg.grid_path, cfg.fmt, num_vars=basis.num_vars)
+        grid = load_measure(cfg.grid, cfg.format, num_vars=basis.num_vars)
     except (MeasureFormatError, ValueError, OSError) as exc:
-        raise CliError(f"{cfg.grid_path}: {exc}") from exc
+        raise CliError(f"{cfg.grid}: {exc}") from exc
 
     try:
         result, witness = truncated_moment_feasible(
@@ -242,13 +276,7 @@ def cmd_feasible(cfg: RunConfig) -> int:
 
 
 def _load_cubature_file(path: str) -> tuple[Cubature, MonomialBasis]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path} is not valid JSON: {exc}") from exc
+    data = _read_json(path, "cubature file")
     try:
         basis = basis_from_config(data["basis"])
         cubature = Cubature(
@@ -263,14 +291,12 @@ def _load_cubature_file(path: str) -> tuple[Cubature, MonomialBasis]:
     return cubature, basis
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    if not cfg.cubature_path:
-        raise CliError("no cubature file given (use --cubature or the config)")
+def cmd_verify(cfg: argparse.Namespace) -> int:
     measure = _load_input_measure(cfg)
-    cubature, basis = _load_cubature_file(cfg.cubature_path)
+    cubature, basis = _load_cubature_file(cfg.cubature)
     if {basis.num_vars, cubature.nodes.shape[1]} != {measure.num_vars}:
         raise CliError(
-            f"{cfg.cubature_path}: basis has {basis.num_vars} coordinates and nodes "
+            f"{cfg.cubature}: basis has {basis.num_vars} coordinates and nodes "
             f"have {cubature.nodes.shape[1]}, but the measure has {measure.num_vars}"
         )
     try:
@@ -286,11 +312,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if passed else _EXIT_FAIL
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     if cfg.num_vars is None:
         raise CliError("gen needs --num-vars (or the config basis block)")
-    if cfg.num_atoms < 1:
-        raise CliError(f"gen needs at least one atom, got {cfg.num_atoms}")
     rng = np.random.default_rng(cfg.seed)
     atoms = rng.uniform(-10.0, 10.0, size=(cfg.num_atoms, cfg.num_vars))
     if cfg.unit_weights:
@@ -300,29 +324,34 @@ def cmd_gen(cfg: RunConfig) -> int:
 
     directory = Path(cfg.out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    if cfg.fmt == "jsonl":
-        path = directory / "measure.jsonl"
-        with open(path, "w", encoding="utf-8") as fh:
-            for x, w in zip(atoms, weights):
-                fh.write(json.dumps({"x": x.tolist(), "w": float(w)}))
-                fh.write("\n")
-    elif cfg.fmt == "csv":
-        path = directory / "measure.csv"
-        with open(path, "w", encoding="utf-8") as fh:
-            for x, w in zip(atoms, weights):
+    path = directory / f"measure.{cfg.format}"
+    with open(path, "w", encoding="utf-8") as fh:
+        for x, w in zip(atoms, weights):
+            if cfg.format == "jsonl":
+                fh.write(json.dumps({"x": x.tolist(), "w": float(w)}) + "\n")
+            else:
                 fh.write(",".join(repr(float(v)) for v in x) + f",{float(w)!r}\n")
-    else:
-        raise CliError(f"unknown format {cfg.fmt!r}")
     print(f"gen: wrote {cfg.num_atoms} atoms to {path}")
     return 0
 
 
+class _Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    flags: str  # the options it reads, besides --config
+
+
 _COMMANDS = {
-    "reduce": cmd_reduce,
-    "moments": cmd_moments,
-    "feasible": cmd_feasible,
-    "verify": cmd_verify,
-    "gen": cmd_gen,
+    "reduce": _Command(cmd_reduce, "compress a measure into a cubature formula",
+                       "--input --format --out-dir --num-vars --degree --weights --tol --mass-tol"),
+    "moments": _Command(cmd_moments, "compute and write the moment vector of a measure",
+                        "--input --format --out-dir --num-vars --degree --weights"),
+    "feasible": _Command(cmd_feasible, "decide truncated moment feasibility over a grid",
+                         "--input --format --out-dir --grid --feas-tol"),
+    "verify": _Command(cmd_verify, "re-verify a cubature file against its source measure",
+                       "--input --format --out-dir --num-vars --cubature --tol --mass-tol"),
+    "gen": _Command(cmd_gen, "generate a synthetic test measure from a seed",
+                    "--format --out-dir --num-vars --seed --num-atoms --unit-weights"),
 }
 
 
@@ -333,52 +362,21 @@ def _make_parser() -> argparse.ArgumentParser:
         "and decide truncated moment feasibility.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
-        p.add_argument("--input", help="input file (measure or moment file)")
-        p.add_argument("--format", choices=["csv", "jsonl"], help="input format")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out-dir", dest="out_dir", help="directory for output files")
-        p.add_argument("--tol", type=float, help="verification tolerance")
-
-    for name, text in [
-        ("reduce", "compress a measure into a cubature formula"),
-        ("moments", "compute and write the moment vector of a measure"),
-        ("feasible", "decide truncated moment feasibility over a grid"),
-        ("verify", "re-verify a cubature file against its source measure"),
-        ("gen", "generate a synthetic test measure from a seed"),
-    ]:
-        p = sub.add_parser(name, help=text)
-        common(p)
-        if name in ("reduce", "moments", "verify", "gen"):
-            p.add_argument("--degree", type=int, help="maximum weighted degree")
-            p.add_argument("--weights", help="comma-separated degree weights, e.g. 1,2")
-            p.add_argument("--num-vars", dest="num_vars", type=int,
-                           help="number of coordinates")
-        if name in ("reduce", "verify"):
-            p.add_argument("--mass-tol", dest="mass_tol", type=float,
-                           help="mass conservation tolerance")
-        if name == "feasible":
-            p.add_argument("--grid", help="candidate support grid file")
-            p.add_argument("--feas-tol", dest="feas_tol", type=float,
-                           help="feasibility/certificate tolerance")
-        if name == "verify":
-            p.add_argument("--cubature", help="cubature JSON file to verify")
-        if name == "gen":
-            p.add_argument("--seed", type=int, help="generator seed")
-            p.add_argument("--num-atoms", dest="num_atoms", type=int,
-                           help="number of atoms to generate")
-            p.add_argument("--unit-weights", dest="unit_weights", action="store_true",
-                           help="give every atom weight 1")
+        for flag in command.flags.split():
+            option = _OPTIONS[flag]
+            # None when absent, so that the config file or the default decides.
+            p.add_argument(flag, help=option.help, default=None,
+                           action="store_true" if option.check is _switch else "store")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
-        cfg = _build_run_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command].run(_settings(args))
     except CliError as exc:
         print(f"momcube {args.command}: error: {exc}", file=sys.stderr)
         return exc.code

@@ -378,9 +378,12 @@ def moments_to_dict(basis: MonomialBasis, values) -> dict:
 
 
 def load_moment_file(source) -> tuple[MonomialBasis, dict[MultiIndex, float]]:
-    """Read a moment file: {"basis": {...}, "moments": {"2,0": value, ...}}."""
+    """Read a moment file: {"basis": {...}, "moments": {"2,0": value, ...}}.
+
+    A path is read as UTF-8; a leading byte-order mark is accepted.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             data = json.load(fh)
     else:
         data = json.load(source)

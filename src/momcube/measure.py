@@ -137,17 +137,18 @@ def _open_text(source: Union[str, Path, IO]):
     """Yield (seekable text-file object, should_close).
 
     Paths and bytes are decoded as UTF-8 with an optional leading
-    byte-order mark ("utf-8-sig"), which the decoder drops.
+    byte-order mark ("utf-8-sig"), which the decoder drops.  Every source
+    reads with universal newlines: "\n", "\r\n" and "\r" all end a line.
     """
     if isinstance(source, (str, Path)):
         return open(source, "r", encoding="utf-8-sig"), True
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig")), True
+        return io.StringIO(source.decode("utf-8-sig"), newline=None), True
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8-sig")
-        return io.StringIO(data), True
+        return io.StringIO(data, newline=None), True
     raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
 
 

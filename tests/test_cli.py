@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,3 +296,102 @@ class TestGenCommand:
 
     def test_gen_without_num_vars_exits_two(self, tmp_path):
         assert main(["gen", "--seed", "1", "--out-dir", str(tmp_path)]) == 2
+
+
+class TestOptionTable:
+    """Each subcommand takes only the options it reads; config values pass
+    the same check as the flags."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("reduce", "--input --format --out-dir --num-vars --degree --weights --tol --mass-tol"),
+        ("moments", "--input --format --out-dir --num-vars --degree --weights"),
+        ("feasible", "--input --format --out-dir --grid --feas-tol"),
+        ("verify", "--input --format --out-dir --num-vars --cubature --tol --mass-tol"),
+        ("gen", "--format --out-dir --num-vars --seed --num-atoms --unit-weights"),
+    ])
+    def test_help_lists_exactly_the_options_read(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", *flags.split()}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen", "--input"), ("gen", "--tol"), ("gen", "--degree"), ("gen", "--weights"),
+        ("verify", "--degree"), ("verify", "--weights"),
+        ("moments", "--tol"), ("feasible", "--tol"),
+    ])
+    def test_option_the_command_does_not_read_exits_two(self, tmp_path, command, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "1", "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("command, config, flag", [
+        ("gen", {"unit_weights": "false"}, "--unit-weights"),
+        ("gen", {"seed": 1.9}, "--seed"),
+        ("reduce", {"tol": True}, "--tol"),
+    ])
+    def test_bad_config_value_names_its_flag(
+        self, tmp_path, five_atom_csv, capsys, command, config, flag
+    ):
+        path = _write(tmp_path / "cfg.json", json.dumps({
+            "basis": {"num_vars": 1, "max_degree": 2}, "input": five_atom_csv, **config,
+        }))
+        assert main([command, "--config", path, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: {flag} (config key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, argv, flag", [
+        ("moments", ["--num-vars", "1", "--degree", "2"], "--input"),
+        ("feasible", ["--input", "moments.json"], "--grid"),
+        ("verify", ["--input", "grid.csv", "--num-vars", "1"], "--cubature"),
+    ])
+    def test_missing_required_option_exits_two(self, tmp_path, capsys, command, argv, flag):
+        assert main([command, *argv, "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"error: missing {flag}" in capsys.readouterr().err
+
+    def test_config_string_is_read_like_its_flag(self, tmp_path, five_atom_csv):
+        config = _write(tmp_path / "cfg.json", json.dumps({"basis": {"num_vars": "1"}}))
+        args = ["--input", five_atom_csv, "--degree", "2"]
+        assert main(["reduce", *args, "--config", config, "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["reduce", *args, "--num-vars", "1", "--out-dir", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "cubature.json").read_bytes() == \
+               (tmp_path / "b" / "cubature.json").read_bytes()
+
+    def test_option_the_command_does_not_read_is_not_checked(self, tmp_path, five_atom_csv):
+        config = _write(tmp_path / "cfg.json", json.dumps({"feas_tol": 0}))
+        assert main([
+            "reduce", "--config", config, "--input", five_atom_csv, "--num-vars", "1",
+            "--degree", "2", "--out-dir", str(tmp_path / "out"),
+        ]) == 0
+
+
+class TestByteOrderMark:
+    """Every JSON input may start with a UTF-8 byte-order mark."""
+
+    @staticmethod
+    def _with_bom(path):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return str(path)
+
+    def test_config(self, tmp_path, five_atom_csv):
+        config = self._with_bom(Path(_write(tmp_path / "cfg.json", json.dumps({
+            "basis": {"num_vars": 1, "max_degree": 2}, "input": five_atom_csv,
+        }))))
+        assert main(["reduce", "--config", config, "--out-dir", str(tmp_path / "out")]) == 0
+
+    def test_moment_file(self, tmp_path, five_atom_csv):
+        out = tmp_path / "out"
+        assert main(["moments", "--input", five_atom_csv, "--num-vars", "1",
+                     "--degree", "2", "--out-dir", str(out)]) == 0
+        moments = self._with_bom(out / "moments.json")
+        assert main(["feasible", "--input", moments, "--grid", five_atom_csv,
+                     "--out-dir", str(out)]) == 0
+
+    def test_cubature_file(self, tmp_path, five_atom_csv):
+        out = tmp_path / "out"
+        assert main(["reduce", "--input", five_atom_csv, "--num-vars", "1",
+                     "--degree", "2", "--out-dir", str(out)]) == 0
+        cubature = self._with_bom(out / "cubature.json")
+        assert main(["verify", "--input", five_atom_csv, "--num-vars", "1",
+                     "--cubature", cubature, "--out-dir", str(out)]) == 0

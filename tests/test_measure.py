@@ -106,6 +106,30 @@ class TestLoadMeasureBom:
         np.testing.assert_array_equal(m.weights, [0.5])
 
 
+def _source(kind, text, tmp_path):
+    if kind == "path":
+        path = tmp_path / "m.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    if kind == "bytes":
+        return text.encode("utf-8")
+    if kind == "BytesIO":
+        return io.BytesIO(text.encode("utf-8"))
+    return io.StringIO(text, newline="")  # keeps "\r" as written
+
+
+@pytest.mark.parametrize("fmt, lines", [
+    ("csv", ["x,w", "1.0,2.0", "2.0,0.5"]),
+    ("jsonl", ['{"x": [1.0], "w": 2.0}', '{"x": [2.0], "w": 0.5}']),
+])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("kind", ["path", "bytes", "BytesIO", "StringIO"])
+def test_every_source_reads_universal_newlines(tmp_path, fmt, lines, end, kind):
+    m = load_measure(_source(kind, end.join(lines) + end, tmp_path), fmt, num_vars=1)
+    np.testing.assert_array_equal(m.atoms, [[1.0], [2.0]])
+    np.testing.assert_array_equal(m.weights, [2.0, 0.5])
+
+
 def _rows(count, bad=None):
     """count gen-style rows "x,y,z,w"; row ``bad`` (1-based) replaced."""
     lines = [f"{0.5 * i!r},{-0.25 * i!r},{1.0 + i!r},{0.5 + i % 7!r}\n" for i in range(count)]
