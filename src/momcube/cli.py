@@ -191,10 +191,15 @@ def _require_basis(cfg: argparse.Namespace, measure: DiscreteMeasure) -> Monomia
         raise CliError(str(exc)) from exc
 
 
+def _make_out_dir(out_dir: str):
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create output directory {out_dir}: {exc}") from exc
+
+
 def _write_json(out_dir: str, name: str, payload: dict) -> Path:
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / name
+    path = Path(out_dir) / name
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -322,9 +327,7 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     else:
         weights = rng.uniform(0.1, 2.0, size=cfg.num_atoms)
 
-    directory = Path(cfg.out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"measure.{cfg.format}"
+    path = Path(cfg.out_dir) / f"measure.{cfg.format}"
     with open(path, "w", encoding="utf-8") as fh:
         for x, w in zip(atoms, weights):
             if cfg.format == "jsonl":
@@ -376,7 +379,10 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _make_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command].run(_settings(args))
+        cfg = _settings(args)
+        # Before any loading, so that a bad --out-dir fails before the work.
+        _make_out_dir(cfg.out_dir)
+        return _COMMANDS[args.command].run(cfg)
     except CliError as exc:
         print(f"momcube {args.command}: error: {exc}", file=sys.stderr)
         return exc.code

@@ -29,7 +29,11 @@ matrices:
   applied to at most 2D columns at a time: a level's group means or the
   base case.
 
-Grouping is fixed and no step is random, so reruns are identical.
+Every factorization is a ``numpy.linalg.svd`` (LAPACK ``gesdd``), and every
+rank decision counts singular values above a tolerance: the kernel's null
+basis and closing full-rank check, and the detected rank of the input's
+feature columns.  Grouping is fixed and no step is random, so reruns are
+identical.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .basis import MonomialBasis, build_basis
 from .measure import (
@@ -164,7 +167,7 @@ def _null_basis(cols: np.ndarray, tol_factor: float = 1.0) -> np.ndarray:
     k is n minus the rank that ``_rank`` decides from the singular values;
     k = 0 means the columns have full rank.
     """
-    _, s, vt = scipy.linalg.svd(cols, full_matrices=True, check_finite=False)
+    _, s, vt = np.linalg.svd(cols, full_matrices=True)
     return vt[_rank(s, cols.shape[0], tol_factor):].T
 
 
@@ -226,35 +229,33 @@ def elimination_step(weights, null_vector) -> tuple[np.ndarray, int]:
 
 
 class _SpanTracker:
-    """Incremental rank of every feature column fed through the sweep."""
+    """Numerical rank of every feature column fed through the sweep.
+
+    ``b`` is a D x r matrix with b b^T close to the sum of c c^T over the
+    columns added so far.  ``add`` takes the SVD of [b, cols] and keeps the
+    left singular vectors that ``_rank`` counts, each scaled by its singular
+    value; the rank is their count.  The scaling keeps a weak direction's
+    error at the rounding level of the strongest one.  An orthonormal basis
+    would carry an error of eps over the direction's own singular value, and
+    on ordered samples of a curve later columns read that error as new
+    directions.
+    """
 
     def __init__(self, dim: int, tol_factor: float = 1.0):
         self.dim = dim
         self.tol_factor = tol_factor
-        self.q = np.zeros((dim, 0))
-        self.max_colnorm = 0.0
+        self.b = np.zeros((dim, 0))
 
     @property
     def rank(self) -> int:
-        return self.q.shape[1]
+        return self.b.shape[1]
 
     def add(self, cols: np.ndarray):
         if cols.size == 0 or self.rank >= self.dim:
             return
-        norms = np.linalg.norm(cols, axis=0)
-        self.max_colnorm = max(self.max_colnorm, float(norms.max()))
-        res = cols
-        if self.rank:
-            res = cols - self.q @ (self.q.T @ cols)
-            res -= self.q @ (self.q.T @ res)
-        q_new, r_new, _ = scipy.linalg.qr(
-            res, mode="economic", pivoting=True, check_finite=False
-        )
-        tol = self.dim * _EPS * self.max_colnorm * self.tol_factor
-        diag = np.abs(np.diagonal(r_new))
-        fresh = int(np.count_nonzero(diag > tol))
-        if fresh:
-            self.q = np.hstack([self.q, q_new[:, :fresh]])
+        u, s, _ = np.linalg.svd(np.hstack([self.b, cols]), full_matrices=False)
+        kept = _rank(s, self.dim, self.tol_factor)
+        self.b = u[:, :kept] * s[:kept]
 
 
 def _sweep(
@@ -296,7 +297,7 @@ def _sweep(
         live = cols[:, idx]
         if idx.shape[0] <= nrows:
             factorizations += 1
-            svals = scipy.linalg.svdvals(live, check_finite=False)
+            svals = np.linalg.svd(live, compute_uv=False)
             if _rank(svals, nrows, tol_factor) == idx.shape[0]:
                 break
         factorizations += 1
@@ -432,7 +433,7 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         pts = atoms[start:start + _CHUNK]
         # Errors from a dictionary name the global atom index.
         cols = _feature_block(features, pts if rescale is None else rescale.apply(pts), start)
-        # Small slices keep the tracker's QR workspace O(D^2).
+        # Small slices keep the tracker's SVD workspace O(D^2).
         for k in range(0, cols.shape[1], 2 * dim):
             tracker.add(cols[:, k:k + 2 * dim])
         chunk = np.arange(start, start + cols.shape[1])
@@ -463,7 +464,7 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     target = moment_vector(measure, features).values
     achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features).values
     residual = float(np.max(np.abs(achieved - target) / (1.0 + np.abs(target))))
-    svals = scipy.linalg.svdvals(carried, check_finite=False)
+    svals = np.linalg.svd(carried, compute_uv=False)
 
     cubature = Cubature(
         node_indices=idx,

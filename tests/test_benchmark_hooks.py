@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` lists every (module, attribute) it replaces during
 a traced run in ``WRAP_SITES``; renaming or deleting one of them breaks the
 benchmark, so each must resolve on the package.  The benchmark also bounds
-peak RSS, which heavy optional imports would move.
+peak RSS and start-up time, which heavy imports would move; the runtime
+needs numpy alone.
 """
 
 import importlib
@@ -40,3 +41,37 @@ def test_import_leaves_scipy_optimize_unloaded():
         env={**os.environ, "PYTHONPATH": path},
     )
     assert out.stdout.strip() == "False"
+
+
+_NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+from momcube.cli import main
+
+d = sys.argv[1]
+codes = [
+    main(["gen", "--seed", "3", "--num-atoms", "60", "--num-vars", "2",
+          "--out-dir", d]),
+    main(["reduce", "--input", d + "/measure.csv", "--num-vars", "2",
+          "--degree", "2", "--out-dir", d]),
+    main(["verify", "--input", d + "/measure.csv", "--num-vars", "2",
+          "--cubature", d + "/cubature.json", "--out-dir", d]),
+    main(["moments", "--input", d + "/measure.csv", "--num-vars", "2",
+          "--degree", "2", "--out-dir", d]),
+    main(["feasible", "--input", d + "/moments.json", "--grid", d + "/measure.csv",
+          "--out-dir", d]),
+]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, str(tmp_path)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.returncode == 0, out.stderr
+    # Every command exits 0, and the only scipy entry is the None sentinel.
+    assert out.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] ['scipy']"

@@ -298,6 +298,39 @@ class TestGenCommand:
         assert main(["gen", "--seed", "1", "--out-dir", str(tmp_path)]) == 2
 
 
+class TestOutDir:
+    """An --out-dir that cannot be a directory is an input error (exit 2),
+    raised before the command loads or computes anything."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, five_atom_csv):
+        out = tmp_path / "good"
+        common = ["--input", five_atom_csv, "--num-vars", "1", "--degree", "2"]
+        assert main(["reduce", *common, "--out-dir", str(out)]) == 0
+        assert main(["moments", *common, "--out-dir", str(out)]) == 0
+        return {
+            "reduce": common,
+            "moments": common,
+            "feasible": ["--input", str(out / "moments.json"), "--grid", five_atom_csv],
+            "verify": ["--input", five_atom_csv, "--num-vars", "1",
+                       "--cubature", str(out / "cubature.json")],
+            "gen": ["--num-vars", "1", "--num-atoms", "5"],
+        }
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("command", ["reduce", "moments", "feasible", "verify", "gen"])
+    def test_out_dir_that_is_a_file_exits_two(self, tmp_path, capsys, inputs, command, below):
+        blocker = tmp_path / "afile"
+        blocker.write_text("keep\n")
+        out_dir = blocker / "sub" if below else blocker
+        capsys.readouterr()
+        assert main([command, *inputs[command], "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert f"error: cannot create output directory {out_dir}" in captured.err
+        assert captured.out == ""
+        assert blocker.read_text() == "keep\n"
+
+
 class TestOptionTable:
     """Each subcommand takes only the options it reads; config values pass
     the same check as the flags."""

@@ -306,6 +306,44 @@ class TestSweepFactorizations:
         np.testing.assert_array_equal(again.weights, cubature.weights)
 
 
+def _on_line(n, offset):
+    xs = offset + np.linspace(0.0, 1.0, n)
+    return np.column_stack([xs, 2.0 * xs + 1.0])
+
+
+def _on_circle(n):
+    t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    return np.column_stack([np.cos(t), np.sin(t)])
+
+
+class TestDetectedRank:
+    """``detected_rank`` is the dimension of the span of the atoms' feature
+    columns, decided from singular values; on these inputs it is known in
+    closed form."""
+
+    @pytest.mark.parametrize("atoms, degree, rank", [
+        # Polynomials of degree <= 3 restricted to a line: 1, t, t^2, t^3.
+        (_on_line(500, 0.0), 3, 4),
+        # Six quadratics, one relation x^2 + y^2 = 1.
+        (_on_circle(200), 2, 5),
+        # On the circle, degree 2m spans 4m + 1 trigonometric functions.
+        (_on_circle(200), 4, 9),
+        # Far from the origin: the rescale's noise factor keeps the rank.
+        (_on_line(200, 1e6), 2, 3),
+        # Seven distinct points, each repeated 40 times.
+        (np.repeat(np.linspace(-3.0, 3.0, 7), 40).reshape(-1, 1), 9, 7),
+        # Generic points span every monomial: D = C(4 + 5, 4).
+        (np.random.default_rng(5).uniform(-1.0, 1.0, (3000, 4)), 5, 126),
+    ], ids=["line-deg3", "circle-deg2", "circle-deg4", "offset-line-deg2",
+            "repeated-points-deg9", "cube4-deg5"])
+    def test_closed_form_rank(self, atoms, degree, rank):
+        num_vars = atoms.shape[1]
+        measure = DiscreteMeasure(atoms, np.ones(atoms.shape[0]))
+        cubature, report = cubature_of_degree(measure, num_vars, [1] * num_vars, degree)
+        assert report.detected_rank == rank
+        assert cubature.num_nodes <= rank
+
+
 class TestReduceStreaming:
     """reduce on inputs far larger than D: many tree levels, several chunks."""
 
