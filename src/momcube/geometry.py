@@ -3,15 +3,21 @@
 Whether a target vector lies in the cone (or convex hull) of a finite set
 of embedded points is the cone-membership form of Tchakaloff's theorem.
 It is decided by one Lawson-Hanson non-negative least-squares solve on
-the row-equilibrated system, with a hard cap on its outer iterations.  A
+the row-equilibrated system, with a hard cap on its outer iterations.
+The solver works on the passive set alone: each trial is one R-only QR
+of the passive columns and the target, a column enters only if it passes
+Lawson and Hanson's independence test, and the residual is formed from
+the passive columns.  A stall rule lets one more column enter when the
+gradient has fallen below its tolerance but the residual is still far
+above rounding level, so ill-conditioned grids do not stop short.  A
 zero residual gives the representing weights, thinned to at most D
 points by recombination's kernel; a nonzero optimal residual r has
 A^T r <= 0 and b . r = |r|^2 > 0, so r is itself a Farkas separating
 functional.  Answers are certified: a Feasible result carries weights
-that are re-verified against the columns, an Infeasible result carries a
-separating functional that is re-verified against every column, and
-anything that cannot be certified is reported as Indeterminate, with the
-reason, rather than coerced.
+that are re-verified against the columns they use, an Infeasible result
+carries a separating functional that is re-verified against every
+column, and anything that cannot be certified is reported as
+Indeterminate, with the reason, rather than coerced.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ from .recomb import _sweep
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
 _EPS = np.finfo(float).eps
+# Lawson & Hanson's column-independence test: a column enters only if its
+# part orthogonal to the passive columns exceeds 100 eps times its part
+# along them (their NNLS, FACTOR = 0.01).
+_INDEPENDENCE = 100.0 * _EPS
 
 
 class FeasibilityStatus(enum.Enum):
@@ -56,7 +66,7 @@ class SeparatingFunctional:
 
     def is_valid(self, columns: np.ndarray, point: np.ndarray, tol: float) -> bool:
         side = self.normal @ np.asarray(columns, dtype=float) - self.offset
-        return bool(side.max() <= tol and self.margin(point) > tol)
+        return bool(side.max(initial=-np.inf) <= tol and self.margin(point) > tol)
 
     def to_dict(self) -> dict:
         return {"normal": self.normal.tolist(), "offset": self.offset}
@@ -70,6 +80,10 @@ class FeasibilityResult:
     result is Indeterminate: ``iteration_limit`` (the cap was reached),
     ``residual_check`` (the witness failed its re-check) or
     ``certificate_check`` (the separating functional failed its re-check).
+    ``residual`` is the re-checked maximum moment error of the witness
+    (the mass row included for hull queries) in the caller's coordinates,
+    or None when the cap stopped the solve first.  ``margin`` is the
+    certificate's l . target - offset, or None when there is no certificate.
     """
 
     status: FeasibilityStatus
@@ -77,6 +91,8 @@ class FeasibilityResult:
     certificate: SeparatingFunctional | None = None
     iterations: int = 0
     reason: str | None = None
+    residual: float | None = None
+    margin: float | None = None
 
     def __post_init__(self):
         if self.weights is not None:
@@ -99,63 +115,119 @@ class FeasibilityResult:
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "iterations": self.iterations,
             "reason": self.reason,
+            "residual": self.residual,
+            "margin": self.margin,
         }
 
 
 def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int):
     """Lawson-Hanson non-negative least squares: min |A x - b| over x >= 0.
 
-    Returns (x, residual b - A x, outer iterations, converged).  The loop
-    stops when no column outside the passive set has gradient A^T r above
-    eps times the largest column 1-norm, when every such column would
-    enter with a least-squares weight <= 0 (Lawson & Hanson's safeguard,
-    1974, ch. 23), or when an outer iteration fails to lower |r|, which
-    it always does in exact arithmetic; ``converged`` is False when
-    ``max_iterations`` outer iterations pass without any of these.
+    Returns (x, residual b - A x, outer iterations, converged).  The
+    passive set is an index array in entry order.  Each trial solves its
+    least-squares problem from one R-only QR of [A_P, b]: the last column
+    of R is Q^T b, so Q is never formed, and the weights come from the
+    k x k triangle.  A column is refused entry when its trial weight is
+    <= 0 (Lawson & Hanson's safeguard, 1974, ch. 23), when it would make
+    more than D passive columns, or when it fails their column-independence
+    test, |R_kk| <= 100 eps |R_1:k-1,k|.  The residual is formed from the
+    passive columns alone, and the gradient is r^T A.
+
+    The loop stops when no column can enter: none outside the passive set
+    has gradient A^T r above eps times the largest column 1-norm, or every
+    such column is refused.  It also stops when an outer iteration fails
+    to lower |r|, which it always does in exact arithmetic.  One stall
+    rule comes first: if the gradient is below that absolute tolerance
+    but |r| > 100 D eps |b|, each column with positive gradient is priced
+    at the decrease g_t^2 / |a_t_perp|^2 its entry would buy, a_t_perp
+    being its part orthogonal to the passive columns, and the best one
+    enters if it would cut |r|^2 by at least a quarter.  ``converged`` is
+    False when ``max_iterations`` outer iterations pass without a stop.
     """
-    m = A.shape[1]
-    x = np.zeros(m)
-    passive = np.zeros(m, dtype=bool)
+    d, m = A.shape
+    passive = np.zeros(0, dtype=np.intp)
+    w = np.zeros(0)
     r = b.astype(float, copy=True)
     tol = _EPS * float(np.abs(A).sum(axis=0).max(initial=0.0))
+    stall = 100.0 * d * _EPS * float(np.linalg.norm(b))
 
-    def solve(mask):
-        z = np.zeros(m)
-        z[mask], *_ = np.linalg.lstsq(A[:, mask], b, rcond=None)
-        return z
+    def solve(cols, entering=False):
+        k = cols.size
+        R = np.linalg.qr(np.column_stack([A[:, cols], b]), mode="r")
+        if entering and abs(R[k - 1, k - 1]) <= _INDEPENDENCE * np.linalg.norm(R[: k - 1, k - 1]):
+            return None
+        return np.linalg.solve(R[:k, :k], R[:k, k])
+
+    def result(iterations, converged):
+        x = np.zeros(m)
+        x[passive] = w
+        return x, r, iterations, converged
 
     for iteration in range(1, max_iterations + 1):
-        grad = A.T @ r
+        grad = r @ A
         grad[passive] = -np.inf
         while True:
-            t = int(np.argmax(grad))
-            if grad[t] <= tol:
-                return x, r, iteration, True
-            passive[t] = True
-            z = solve(passive)
-            if z[t] > 0.0:
+            t = -1
+            if passive.size < d:
+                if grad.max(initial=-np.inf) > tol:
+                    t = int(np.argmax(grad))
+                elif r @ r > stall * stall:
+                    t = _stall_entry(A, passive, r, grad)
+            if t < 0:
+                return result(iteration, True)
+            trial = np.append(passive, t)
+            z = solve(trial, entering=True)
+            if z is not None and z[-1] > 0.0:
                 break
+            if grad[t] <= tol:
+                return result(iteration, True)
             # Rounding alone made column t look improving; skip it this round.
-            passive[t] = False
             grad[t] = -np.inf
-        # Step back along x -> z until every passive weight is positive.
-        y = x
-        while (z[passive] <= 0.0).any():
-            shrink = passive & (z <= 0.0)
+        # Step back along w -> z until every passive weight is positive.
+        y = np.append(w, 0.0)
+        while (z <= 0.0).any():
+            shrink = z <= 0.0
             alpha = np.min(y[shrink] / (y[shrink] - z[shrink]))
             y = y + alpha * (z - y)
-            passive &= y > 0.0
-            passive[np.flatnonzero(shrink)[np.argmin(y[shrink])]] = False
-            y[~passive] = 0.0
-            z = solve(passive)
-        r_next = b - A @ z
+            keep = y > 0.0
+            keep[np.flatnonzero(shrink)[np.argmin(y[shrink])]] = False
+            trial, y = trial[keep], y[keep]
+            z = solve(trial)
+        r_next = b - A[:, trial] @ z
         if r_next @ r_next >= r @ r:
             # In exact arithmetic every outer iteration lowers |r|, so one
             # that does not has reached rounding level; without this stop
             # degenerate grids cycle through the same few columns.
-            return x, r, iteration, True
-        x, r = z, r_next
-    return x, r, max_iterations, False
+            return result(iteration, True)
+        passive, w, r = trial, z, r_next
+    return result(max_iterations, False)
+
+
+def _stall_entry(A: np.ndarray, passive: np.ndarray, r: np.ndarray, grad: np.ndarray) -> int:
+    """The column whose entry cuts |r|^2 by at least a quarter, else -1.
+
+    r is the least-squares residual of the passive columns, so entering
+    column t alone would lower |r|^2 by (r . a_perp)^2 / |a_perp|^2, where
+    a_perp is a_t less its projection on the passive columns.  Columns
+    whose a_perp fails the independence test are not priced.  On the
+    ill-conditioned 20 x 20 tensor grid this is the step that separates a
+    residual of 1e-8 from the rounding level.
+    """
+    candidates = np.flatnonzero(grad > 0.0)
+    if candidates.size == 0:
+        return -1
+    perp = A[:, candidates]
+    along2 = np.zeros(candidates.size)
+    if passive.size:
+        q = np.linalg.qr(A[:, passive])[0]
+        along = q.T @ perp
+        perp = perp - q @ along
+        along2 = np.einsum("ij,ij->j", along, along)
+    norm2 = np.einsum("ij,ij->j", perp, perp)
+    gain = np.zeros(candidates.size)
+    np.divide((r @ perp) ** 2, norm2, out=gain, where=norm2 > _INDEPENDENCE**2 * along2)
+    best = int(np.argmax(gain))
+    return int(candidates[best]) if gain[best] >= 0.25 * (r @ r) else -1
 
 
 def _decide_membership(
@@ -164,59 +236,84 @@ def _decide_membership(
     feas_tol: float,
     cert_tol: float,
     max_iterations: int | None,
-):
-    """Certified membership of target in cone(columns).
+    hull: bool,
+) -> FeasibilityResult:
+    """Certified membership of target in cone(columns), or with ``hull`` in
+    their convex hull.
 
-    One Lawson-Hanson NNLS solve on the row-equilibrated, sign-flipped
-    system answers both ways.  A zero residual gives the witness; its
-    support is then thinned by recombination's kernel to independent
-    columns, so at most D of them, and the witness is re-checked in the
-    original coordinates.  A nonzero optimal residual r has A^T r <= 0 and
+    The hull constraint is a row of ones with right-hand side 1, written
+    straight into the equilibrated system.  One Lawson-Hanson NNLS solve
+    on the row-equilibrated, sign-flipped system answers both ways.  A
+    zero residual gives the witness; its support is then thinned by
+    recombination's kernel to independent columns, so at most D of them,
+    and the witness is re-checked on those columns in the original
+    coordinates.  A nonzero optimal residual r has A^T r <= 0 and
     b . r = |r|^2 > 0, so r, mapped back to the original rows, is itself a
     Farkas functional; it is re-checked against every column.  Anything
     that passes neither re-check is Indeterminate.
-
-    Returns (status, weights, functional, iterations, reason) where the
-    functional is the raw vector l with l . columns <= 0 and l . target > 0,
-    unit max-abs norm, and reason says why a result is Indeterminate.
     """
     d, m = columns.shape
+    rows = d + hull
     if max_iterations is None:
-        max_iterations = 50 * (d + m)
+        max_iterations = 50 * (rows + m)
 
-    # Row equilibration: scale each constraint to unit magnitude, then flip
-    # signs so the right-hand side is nonnegative.
+    # Row equilibration: scale each constraint to unit magnitude, and flip
+    # signs so the right-hand side is nonnegative.  With no columns there is
+    # nothing to equilibrate against; unit scales then make the certificate
+    # of a nonzero target the normalized target itself.
     row_mag = np.maximum(np.abs(columns).max(axis=1, initial=0.0), np.abs(target))
-    row_scale = np.where(row_mag > 0.0, row_mag, 1.0)
-    a_eq = columns / row_scale[:, None]
-    b_eq = target / row_scale
-    flip = np.where(b_eq < 0.0, -1.0, 1.0)
-    a_eq = a_eq * flip[:, None]
-    b_eq = b_eq * flip
+    row_scale = np.where((row_mag > 0.0) & (m > 0), row_mag, 1.0)
+    scale = np.where(target < 0.0, -1.0, 1.0) / row_scale
+    a_eq = np.empty((rows, m))
+    np.multiply(columns, scale[:, None], out=a_eq[:d])
+    b_eq = target * scale
+    if hull:
+        a_eq[d] = 1.0
+        scale = np.append(scale, 1.0)
+        b_eq = np.append(b_eq, 1.0)
 
     x, r, iterations, converged = _nnls(a_eq, b_eq, max_iterations)
     if not converged:
-        return FeasibilityStatus.INDETERMINATE, None, None, iterations, "iteration_limit"
+        return FeasibilityResult(
+            FeasibilityStatus.INDETERMINATE, iterations=iterations, reason="iteration_limit"
+        )
 
     support = np.flatnonzero(x > 0.0)
     weights = np.zeros(m)
     if support.size:
         kept, kept_weights, _, _ = _sweep(a_eq[:, support], x[support], False)
-        weights[support[kept]] = kept_weights
-    residual = float(np.abs(columns @ weights - target).max(initial=0.0))
+        support = support[kept]
+        weights[support] = kept_weights
+    error = np.abs(columns[:, support] @ weights[support] - target)
+    if hull:
+        error = np.append(error, abs(weights[support].sum() - 1.0))
+    residual = float(error.max(initial=0.0))
     if residual <= feas_tol * (1.0 + float(np.abs(target).max(initial=0.0))):
-        return FeasibilityStatus.FEASIBLE, weights, None, iterations, None
+        return FeasibilityResult(
+            FeasibilityStatus.FEASIBLE, weights, iterations=iterations, residual=residual
+        )
 
-    functional = flip * r / row_scale
+    functional = r * scale
     peak = float(np.abs(functional).max(initial=0.0))
     if peak > 0.0:
         functional = functional / peak
-        if (columns.T @ functional).max() <= cert_tol and functional @ target > cert_tol:
-            return FeasibilityStatus.INFEASIBLE, None, functional, iterations, None
+        certificate = SeparatingFunctional(
+            normal=functional[:d], offset=-float(functional[d]) if hull else 0.0
+        )
+        if certificate.is_valid(columns, target, cert_tol):
+            return FeasibilityResult(
+                FeasibilityStatus.INFEASIBLE,
+                certificate=certificate,
+                iterations=iterations,
+                residual=residual,
+                margin=certificate.margin(target),
+            )
     # The solver's own margin b . r (|r|^2 at the optimum) says which answer
     # it pointed to: too small to separate means the witness failed.
     reason = "certificate_check" if float(b_eq @ r) > cert_tol else "residual_check"
-    return FeasibilityStatus.INDETERMINATE, None, None, iterations, reason
+    return FeasibilityResult(
+        FeasibilityStatus.INDETERMINATE, iterations=iterations, reason=reason, residual=residual
+    )
 
 
 def _as_target(moments) -> np.ndarray:
@@ -252,13 +349,7 @@ def cone_membership(
     """
     target = _as_target(moments)
     cols = _as_columns(columns, target.shape[0])
-    status, weights, functional, iterations, reason = _decide_membership(
-        target, cols, feas_tol, cert_tol, max_iterations
-    )
-    certificate = None
-    if functional is not None:
-        certificate = SeparatingFunctional(normal=functional, offset=0.0)
-    return FeasibilityResult(status, weights, certificate, iterations, reason)
+    return _decide_membership(target, cols, feas_tol, cert_tol, max_iterations, hull=False)
 
 
 def hull_membership(
@@ -279,17 +370,7 @@ def hull_membership(
             f"hull membership requires a normalized target (entry 0 == 1), got {target[0]!r}"
         )
     cols = _as_columns(columns, target.shape[0])
-    augmented_cols = np.vstack([cols, np.ones(cols.shape[1])])
-    augmented_target = np.append(target, 1.0)
-    status, weights, functional, iterations, reason = _decide_membership(
-        augmented_target, augmented_cols, feas_tol, cert_tol, max_iterations
-    )
-    certificate = None
-    if functional is not None:
-        certificate = SeparatingFunctional(
-            normal=functional[:-1], offset=-float(functional[-1])
-        )
-    return FeasibilityResult(status, weights, certificate, iterations, reason)
+    return _decide_membership(target, cols, feas_tol, cert_tol, max_iterations, hull=True)
 
 
 def truncated_moment_feasible(

@@ -180,6 +180,7 @@ class TestFeasibleCommand:
         payload = json.loads((tmp_path / "out" / "feasibility.json").read_text())
         assert payload["status"] == "infeasible"
         assert payload["certificate"] is not None
+        assert payload["margin"] > 0.0 and payload["residual"] > 0.0
 
     def test_interior_point_witness(self, tmp_path):
         grid = _write(tmp_path / "grid.csv", "-1\n0\n1\n")
@@ -190,6 +191,7 @@ class TestFeasibleCommand:
         payload = json.loads((tmp_path / "out" / "feasibility.json").read_text())
         np.testing.assert_allclose(payload["weights"], [0.25, 0.5, 0.25], atol=1e-9)
         assert payload["iterations"] >= 1 and payload["reason"] is None
+        assert payload["residual"] <= 1e-9 and payload["margin"] is None
 
     def test_malformed_moment_file_exits_two(self, tmp_path, capsys):
         grid = _write(tmp_path / "grid.csv", "0\n")

@@ -21,7 +21,13 @@ from momcube import (
     truncated_moment_feasible,
     verify_cubature,
 )
-from momcube.geometry import DEFAULT_FEAS_TOL, moment_key, parse_moment_key
+from momcube.geometry import (
+    DEFAULT_FEAS_TOL,
+    SeparatingFunctional,
+    _nnls,
+    moment_key,
+    parse_moment_key,
+)
 from oracles import cone_member_bruteforce, fsum_moments, hull_member_bruteforce
 
 
@@ -98,6 +104,7 @@ class TestConeMembership:
         assert result.status is FeasibilityStatus.INDETERMINATE
         assert result.weights is None and result.certificate is None
         assert result.reason == "iteration_limit"
+        assert result.residual is None and result.margin is None
 
     def test_weights_xor_certificate(self):
         _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
@@ -105,6 +112,31 @@ class TestConeMembership:
         infeasible = cone_membership(np.array([1.0, 0.0, 2.0]), columns)
         assert feasible.weights is not None and feasible.certificate is None
         assert infeasible.weights is None and infeasible.certificate is not None
+
+    def test_no_columns_zero_target_is_feasible(self):
+        result = cone_membership(np.zeros(3), np.zeros((3, 0)))
+        assert result.status is FeasibilityStatus.FEASIBLE
+        assert result.weights.shape == (0,) and result.residual == 0.0
+
+    def test_no_columns_nonzero_target_is_infeasible(self):
+        target = np.array([2.0, -1.0, 0.5])
+        result = cone_membership(target, np.zeros((3, 0)))
+        assert result.status is FeasibilityStatus.INFEASIBLE
+        np.testing.assert_allclose(result.certificate.normal, target / 2.0)
+        assert result.certificate.offset == 0.0
+        assert result.certificate.is_valid(np.zeros((3, 0)), target, 1e-9)
+
+    def test_residual_and_margin_are_reported(self):
+        _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
+        feasible = cone_membership(np.array([1.0, 0.0, 0.5]), columns)
+        assert feasible.residual <= 1e-12 and feasible.margin is None
+        target = np.array([1.0, 0.0, 2.0])
+        infeasible = cone_membership(target, columns)
+        assert infeasible.residual > DEFAULT_FEAS_TOL
+        assert infeasible.margin == infeasible.certificate.margin(target) > 0.0
+        payload = infeasible.to_dict()
+        assert payload["residual"] == infeasible.residual
+        assert payload["margin"] == infeasible.margin
 
     def test_witness_reduces_consistently(self):
         rng = np.random.default_rng(101)
@@ -143,6 +175,13 @@ class TestHullMembership:
         result = hull_membership(np.array([1.0, 0.0, 1.0]), columns)
         assert result.status is FeasibilityStatus.FEASIBLE
         np.testing.assert_allclose(result.weights, [0.5, 0.0, 0.5], atol=1e-10)
+
+    def test_no_columns_is_infeasible(self):
+        target = np.array([1.0, 0.3])
+        result = hull_membership(target, np.zeros((2, 0)))
+        assert result.status is FeasibilityStatus.INFEASIBLE
+        assert result.certificate.is_valid(np.zeros((2, 0)), target, 1e-9)
+        assert result.margin > 0.0
 
     def test_rejects_unnormalized_target(self):
         _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
@@ -273,10 +312,12 @@ class TestDegenerateGrids:
     so the columns are far from general position."""
 
     @pytest.mark.parametrize("support", [10, 400], ids=["sparse", "full"])
-    @pytest.mark.parametrize("seed", [3, 7, 11, 45])
+    @pytest.mark.parametrize("seed", [3, 7, 11, 45, 50, 165])
     def test_tensor_grid_targets_are_decided_feasible(self, seed, support):
         # Seed 45's sparse target makes the solver cycle through a few
         # columns at rounding level unless a non-improving step stops it.
+        # Seed 165's sparse target stalls at |r| ~ 1e-8 with every gradient
+        # under the tolerance unless the stall rule enters a column.
         rng = np.random.default_rng(seed)
         grid = _tensor_grid(20)
         basis = build_basis(2, [1, 1], 6)
@@ -354,6 +395,85 @@ class TestIndeterminateReasons:
             FeasibilityResult(FeasibilityStatus.FEASIBLE, np.ones(2), reason="residual_check")
         with pytest.raises(ValueError, match="reason"):
             FeasibilityResult(FeasibilityStatus.INDETERMINATE)
+
+
+class TestSeparatingFunctional:
+    def test_is_valid_without_columns(self):
+        functional = SeparatingFunctional(normal=np.array([1.0, 0.0]))
+        assert functional.is_valid(np.zeros((2, 0)), np.array([1.0, 0.0]), 1e-9)
+        assert not functional.is_valid(np.zeros((2, 0)), np.array([0.0, 1.0]), 1e-9)
+
+
+def _nnls_problem(kind, rng):
+    """A seeded (A, b): b is either in cone(A) or a random vector."""
+    if kind == "wide":
+        A = rng.standard_normal((5, 30))
+    elif kind == "tall":  # M < D
+        A = rng.standard_normal((8, 5))
+    elif kind == "square_plus_one":  # M = D + 1
+        A = rng.standard_normal((6, 7))
+    elif kind == "duplicated":
+        A = rng.standard_normal((6, 10))
+        A = np.concatenate([A, A[:, :4], 2.0 * A[:, 5:7]], axis=1)
+    else:  # rank 3 in 6 rows
+        A = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 20))
+    if rng.random() < 0.5:
+        b = A @ (rng.uniform(0.0, 1.0, A.shape[1]) * (rng.random(A.shape[1]) < 0.4))
+    else:
+        b = rng.standard_normal(A.shape[0])
+    return A, b
+
+
+_NNLS_KINDS = ["wide", "tall", "square_plus_one", "duplicated", "rank_deficient"]
+
+
+class TestNNLS:
+    """Karush-Kuhn-Tucker conditions of the solver on seeded random problems."""
+
+    @pytest.mark.parametrize("kind", _NNLS_KINDS)
+    def test_kkt_conditions(self, kind):
+        rng = np.random.default_rng(_NNLS_KINDS.index(kind))
+        for _ in range(25):
+            A, b = _nnls_problem(kind, rng)
+            x, r, iterations, converged = _nnls(A, b, 50 * sum(A.shape))
+            assert converged and iterations >= 1
+            tol = 1e-10 * np.abs(A).sum(axis=0).max() * (1.0 + np.linalg.norm(b))
+            assert (x >= 0.0).all()
+            np.testing.assert_allclose(r, b - A @ x, atol=tol)
+            grad = A.T @ r
+            on = x > 0.0
+            assert np.count_nonzero(on) <= A.shape[0]
+            assert grad[~on].max(initial=-np.inf) <= tol
+            assert np.abs(grad[on]).max(initial=0.0) <= tol
+
+    @pytest.mark.parametrize("kind", _NNLS_KINDS)
+    def test_residual_matches_scipy(self, kind):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(100 + _NNLS_KINDS.index(kind))
+        for _ in range(25):
+            A, b = _nnls_problem(kind, rng)
+            _, r, _, _ = _nnls(A, b, 50 * sum(A.shape))
+            _, reference = optimize.nnls(A, b)
+            assert abs(np.linalg.norm(r) - reference) <= 1e-9 * (1.0 + np.linalg.norm(b))
+
+    @pytest.mark.parametrize("seed", [207, 267, 1294, 1724])
+    def test_dependent_column_is_refused(self, seed):
+        # Three columns and eight combinations of them, with a target far
+        # outside their span.  A test of |R_kk| against D eps max |R_ii|
+        # lets a combination enter here, with weights of 1e15 to 1e21.
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((6, 3)) * 10.0 ** rng.uniform(-1.0, 1.0, 3)
+        A = np.concatenate([B, B @ rng.standard_normal((3, 8))], axis=1)
+        b = rng.standard_normal(6) * 10.0 ** rng.uniform(0.0, 6.0)
+        x, r, _, converged = _nnls(A, b, 50 * sum(A.shape))
+        assert converged and np.count_nonzero(x) <= 3
+        np.testing.assert_allclose(r, b - A @ x, atol=1e-9 * np.linalg.norm(b))
+
+    def test_no_columns(self):
+        b = np.array([1.0, -2.0])
+        x, r, iterations, converged = _nnls(np.zeros((2, 0)), b, 10)
+        assert x.shape == (0,) and converged and iterations == 1
+        np.testing.assert_array_equal(r, b)
 
 
 class TestMomentFiles:
