@@ -5,19 +5,20 @@ of embedded points is the cone-membership form of Tchakaloff's theorem.
 It is decided by one Lawson-Hanson non-negative least-squares solve on
 the row-equilibrated system, with a hard cap on its outer iterations.
 The solver works on the passive set alone: each trial is one R-only QR
-of the passive columns and the target, a column enters only if it passes
-Lawson and Hanson's independence test, and the residual is formed from
-the passive columns.  A stall rule lets one more column enter when the
-gradient has fallen below its tolerance but the residual is still far
-above rounding level, so ill-conditioned grids do not stop short.  A
-zero residual gives the representing weights, thinned to at most D
-points by recombination's kernel; a nonzero optimal residual r has
-A^T r <= 0 and b . r = |r|^2 > 0, so r is itself a Farkas separating
-functional.  Answers are certified: a Feasible result carries weights
-that are re-verified against the columns they use, an Infeasible result
-carries a separating functional that is re-verified against every
-column, and anything that cannot be certified is reported as
-Indeterminate, with the reason, rather than coerced.
+of the passive columns and the target, a column enters only if its
+triangle passes the independence test, and the residual is formed from
+the passive columns.  That entry test is the only independence decision
+made here, so the passive set is always independent, at most D columns.
+A stall rule lets one more column enter when the gradient has fallen
+below its tolerance but the residual is still far above rounding level,
+so ill-conditioned grids do not stop short.  A zero residual makes the
+passive set and its weights the witness as they stand; a nonzero
+optimal residual r has A^T r <= 0 and b . r = |r|^2 > 0, so r is itself
+a Farkas separating functional.  Answers are certified: a Feasible
+result carries weights that are re-verified against the columns they
+use, an Infeasible result carries a separating functional that is
+re-verified against every column, and anything that cannot be certified
+is reported as Indeterminate, with the reason, rather than coerced.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .basis import MonomialBasis, MultiIndex, basis_from_config, build_basis, embed_block
 from .measure import DiscreteMeasure, _is_json_number
-from .recomb import _sweep
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
@@ -129,9 +129,14 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int):
     of R is Q^T b, so Q is never formed, and the weights come from the
     k x k triangle.  A column is refused entry when its trial weight is
     <= 0 (Lawson & Hanson's safeguard, 1974, ch. 23), when it would make
-    more than D passive columns, or when it fails their column-independence
-    test, |R_kk| <= 100 eps |R_1:k-1,k|.  The residual is formed from the
-    passive columns alone, and the gradient is r^T A.
+    more than D passive columns, or when it fails the independence test.
+    That test has two parts, and either one refuses the column: Lawson
+    and Hanson's |R_kk| <= 100 eps |R_1:k-1,k|, its part orthogonal to the
+    passive columns against its part along them, and |R_kk| <= D eps
+    max_i |R_ii|, the rank rule of recombination's kernel applied to the
+    triangle's diagonal.  Neither part alone keeps every dependent column
+    out.  The residual is formed from the passive columns alone, and the
+    gradient is r^T A.
 
     The loop stops when no column can enter: none outside the passive set
     has gradient A^T r above eps times the largest column 1-norm, or every
@@ -154,8 +159,11 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int):
     def solve(cols, entering=False):
         k = cols.size
         R = np.linalg.qr(np.column_stack([A[:, cols], b]), mode="r")
-        if entering and abs(R[k - 1, k - 1]) <= _INDEPENDENCE * np.linalg.norm(R[: k - 1, k - 1]):
-            return None
+        if entering:
+            diag = np.abs(np.diagonal(R)[:k])
+            along = np.linalg.norm(R[: k - 1, k - 1])
+            if diag[-1] <= max(_INDEPENDENCE * along, d * _EPS * diag.max()):
+                return None
         return np.linalg.solve(R[:k, :k], R[:k, k])
 
     def result(iterations, converged):
@@ -244,13 +252,13 @@ def _decide_membership(
     The hull constraint is a row of ones with right-hand side 1, written
     straight into the equilibrated system.  One Lawson-Hanson NNLS solve
     on the row-equilibrated, sign-flipped system answers both ways.  A
-    zero residual gives the witness; its support is then thinned by
-    recombination's kernel to independent columns, so at most D of them,
-    and the witness is re-checked on those columns in the original
-    coordinates.  A nonzero optimal residual r has A^T r <= 0 and
-    b . r = |r|^2 > 0, so r, mapped back to the original rows, is itself a
-    Farkas functional; it is re-checked against every column.  Anything
-    that passes neither re-check is Indeterminate.
+    zero residual gives the witness: the passive set, whose columns the
+    entry test keeps independent, so at most D of them, with its weights.
+    It is re-checked on those columns in the original coordinates.  A
+    nonzero optimal residual r has A^T r <= 0 and b . r = |r|^2 > 0, so r,
+    mapped back to the original rows, is itself a Farkas functional; it is
+    re-checked against every column.  Anything that passes neither
+    re-check is Indeterminate.
     """
     d, m = columns.shape
     rows = d + hull
@@ -278,19 +286,14 @@ def _decide_membership(
             FeasibilityStatus.INDETERMINATE, iterations=iterations, reason="iteration_limit"
         )
 
-    support = np.flatnonzero(x > 0.0)
-    weights = np.zeros(m)
-    if support.size:
-        kept, kept_weights, _, _ = _sweep(a_eq[:, support], x[support], False)
-        support = support[kept]
-        weights[support] = kept_weights
-    error = np.abs(columns[:, support] @ weights[support] - target)
+    support = np.flatnonzero(x)
+    error = np.abs(columns[:, support] @ x[support] - target)
     if hull:
-        error = np.append(error, abs(weights[support].sum() - 1.0))
+        error = np.append(error, abs(x[support].sum() - 1.0))
     residual = float(error.max(initial=0.0))
     if residual <= feas_tol * (1.0 + float(np.abs(target).max(initial=0.0))):
         return FeasibilityResult(
-            FeasibilityStatus.FEASIBLE, weights, iterations=iterations, residual=residual
+            FeasibilityStatus.FEASIBLE, x, iterations=iterations, residual=residual
         )
 
     functional = r * scale

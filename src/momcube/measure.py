@@ -134,21 +134,21 @@ def feature_count(features: Features) -> int:
 
 
 def _open_text(source: Union[str, Path, IO]):
-    """Yield (seekable text-file object, should_close).
+    """A seekable text-file object for the source, which the caller closes.
 
     Paths and bytes are decoded as UTF-8 with an optional leading
     byte-order mark ("utf-8-sig"), which the decoder drops.  Every source
     reads with universal newlines: "\n", "\r\n" and "\r" all end a line.
     """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig"), True
+        return open(source, "r", encoding="utf-8-sig")
     if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig"), newline=None), True
+        return io.StringIO(source.decode("utf-8-sig"), newline=None)
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
             data = data.decode("utf-8-sig")
-        return io.StringIO(data, newline=None), True
+        return io.StringIO(data, newline=None)
     raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
 
 
@@ -316,8 +316,7 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     of format errors, so messages and line numbers do not depend on the
     path taken.
     """
-    text_file, should_close = _open_text(source)
-    try:
+    with _open_text(source) as text_file:
         if fmt == "csv":
             block = _load_csv_block(text_file, num_vars)
             if block is not None:
@@ -328,9 +327,6 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
             atoms, weights = _parse_jsonl(text_file, num_vars)
         else:
             raise MeasureFormatError(f"unknown format {fmt!r} (expected csv or jsonl)")
-    finally:
-        if should_close:
-            text_file.close()
     if not weights:
         raise MeasureFormatError("no atoms in input")
     # The line parsers append rows flat, one float per cell, so no Python

@@ -259,10 +259,7 @@ class _SpanTracker:
 
 
 def _sweep(
-    cols: np.ndarray,
-    weights: np.ndarray,
-    project_constant: bool,
-    tol_factor: float = 1.0,
+    cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float
 ):
     """Deterministic reduction of a D x n column matrix until its columns are
     linearly independent.
@@ -338,8 +335,9 @@ def _tree(
     steps, factorizations, tree levels).  Each level reduces the 2D
     contiguous groups' weighted means with ``_sweep`` and keeps the atoms
     of surviving groups, rescaled by new group mass over old; at most 2D
-    atoms go to ``_sweep`` as the base case.  A level whose group means cancel, so that no group
-    can be removed, returns its atoms and weights unreduced.
+    atoms go to ``_sweep`` as the base case.  A level whose group means
+    cancel, so that no group can be removed, returns its atoms and weights
+    unreduced.
     """
     dim = cols.shape[0]
     groups = 2 * dim
@@ -507,8 +505,4 @@ def cubature_of_degree(
     Atoms are affinely rescaled to [-1, 1]^N internally (the rescale is
     reported); results are stated in original coordinates.
     """
-    if measure.num_vars != num_vars:
-        raise ValueError(
-            f"measure has {measure.num_vars} coordinates, expected {num_vars}"
-        )
     return reduce(measure, build_basis(num_vars, degree_weights, max_degree))

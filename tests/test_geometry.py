@@ -456,11 +456,13 @@ class TestNNLS:
             _, reference = optimize.nnls(A, b)
             assert abs(np.linalg.norm(r) - reference) <= 1e-9 * (1.0 + np.linalg.norm(b))
 
-    @pytest.mark.parametrize("seed", [207, 267, 1294, 1724])
+    @pytest.mark.parametrize("seed", [207, 267, 946, 1294, 1724, 2614])
     def test_dependent_column_is_refused(self, seed):
         # Three columns and eight combinations of them, with a target far
         # outside their span.  A test of |R_kk| against D eps max |R_ii|
-        # lets a combination enter here, with weights of 1e15 to 1e21.
+        # alone lets a combination enter on seeds 207, 267, 1294 and 1724,
+        # with weights of 1e15 to 1e21; Lawson and Hanson's test alone lets
+        # one enter on the row-equilibrated system of seeds 946 and 2614.
         rng = np.random.default_rng(seed)
         B = rng.standard_normal((6, 3)) * 10.0 ** rng.uniform(-1.0, 1.0, 3)
         A = np.concatenate([B, B @ rng.standard_normal((3, 8))], axis=1)
@@ -468,6 +470,9 @@ class TestNNLS:
         x, r, _, converged = _nnls(A, b, 50 * sum(A.shape))
         assert converged and np.count_nonzero(x) <= 3
         np.testing.assert_allclose(r, b - A @ x, atol=1e-9 * np.linalg.norm(b))
+        result = cone_membership(b, A)
+        assert result.status is FeasibilityStatus.INFEASIBLE
+        assert result.certificate.is_valid(A, b, 1e-9)
 
     def test_no_columns(self):
         b = np.array([1.0, -2.0])
