@@ -12,7 +12,6 @@ from .basis import (
     DegreeFunction,
     MonomialBasis,
     MultiIndex,
-    basis_dimension,
     basis_from_config,
     build_basis,
     embed_block,
@@ -32,18 +31,14 @@ from .measure import (
     DiscreteMeasure,
     FunctionDictionary,
     MeasureFormatError,
-    MomentVector,
     feature_matrix,
     load_measure,
     moment_vector,
 )
 from .recomb import (
-    AffineRescale,
     Cubature,
     ReductionReport,
     cubature_of_degree,
-    elimination_step,
-    find_null_vector,
     reduce,
 )
 from .verify import VerificationReport, verify_cubature
@@ -51,7 +46,6 @@ from .verify import VerificationReport, verify_cubature
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineRescale",
     "BasisError",
     "Cubature",
     "DegreeFunction",
@@ -60,22 +54,18 @@ __all__ = [
     "FeasibilityStatus",
     "FunctionDictionary",
     "MeasureFormatError",
-    "MomentVector",
     "MonomialBasis",
     "MultiIndex",
     "ReductionReport",
     "SeparatingFunctional",
     "VerificationReport",
-    "basis_dimension",
     "basis_from_config",
     "build_basis",
     "cone_membership",
     "cubature_of_degree",
-    "elimination_step",
     "embed_block",
     "evaluate_embedding",
     "feature_matrix",
-    "find_null_vector",
     "hull_membership",
     "load_measure",
     "load_moment_file",

@@ -111,22 +111,18 @@ def _enumerate_indices(weights: tuple[int, ...], m: int, cap: int) -> list[Multi
     return out
 
 
-def build_basis(
-    num_vars: int,
-    weights,
-    max_degree: int,
-    dimension_cap: int = DEFAULT_DIMENSION_CAP,
-) -> MonomialBasis:
+def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
     """Build the complete weighted-degree monomial basis.
 
     Args:
         num_vars: number of coordinates N, at least 1.
         weights: N positive integer degree weights; None means all ones.
         max_degree: the degree bound m, at least 0.
-        dimension_cap: hard limit on the number of basis entries.
 
     Returns:
         MonomialBasis with deterministic graded-lex ordering, constant first.
+
+    Raises BasisError past DEFAULT_DIMENSION_CAP entries.
     """
     if weights is None:
         weights = [1] * int(num_vars) if num_vars else []
@@ -137,7 +133,7 @@ def build_basis(
         raise BasisError(f"max_degree must be >= 0, got {max_degree}")
     m = int(max_degree)
 
-    indices = _enumerate_indices(degree_fn.weights, m, dimension_cap)
+    indices = _enumerate_indices(degree_fn.weights, m, DEFAULT_DIMENSION_CAP)
     indices.sort(key=lambda a: (degree_fn.weighted_degree(a), a))
 
     position = {a: j for j, a in enumerate(indices)}
@@ -153,11 +149,6 @@ def build_basis(
         indices=tuple(indices),
         _recurrence=tuple(recurrence),
     )
-
-
-def basis_dimension(basis: MonomialBasis) -> int:
-    """Number of basis entries; binomial(N+m, m) for all-unit weights."""
-    return basis.dimension
 
 
 def basis_from_config(config: dict) -> MonomialBasis:

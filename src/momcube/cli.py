@@ -27,7 +27,13 @@ from .geometry import (
     moments_to_dict,
     truncated_moment_feasible,
 )
-from .measure import DiscreteMeasure, MeasureFormatError, load_measure, moment_vector
+from .measure import (
+    DiscreteMeasure,
+    MeasureFormatError,
+    _is_json_number,
+    load_measure,
+    moment_vector,
+)
 from .recomb import Cubature, cubature_of_degree
 from .verify import verify_cubature
 
@@ -216,7 +222,7 @@ def cmd_reduce(cfg: argparse.Namespace) -> int:
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise CliError(f"reduction failed: {exc}") from exc
 
-    verification = verify_cubature(measure, cubature, basis, cfg.tol)
+    verification = verify_cubature(measure, cubature, basis)
     passed = verification.passes(cfg.tol, cfg.mass_tol)
 
     _write_json(cfg.out_dir, "cubature.json", cubature.to_dict(basis.to_config()))
@@ -280,14 +286,41 @@ def cmd_feasible(cfg: argparse.Namespace) -> int:
     return _EXIT_INDETERMINATE
 
 
+def _is_json_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _leaves(value):
+    """The entries of a JSON array, nested arrays flattened."""
+    if isinstance(value, list):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _json_array(data: dict, field: str, is_entry, kind: str, dtype) -> np.ndarray:
+    """data[field] as an array, if it is a JSON array of ``kind`` alone."""
+    value = data[field]
+    if not isinstance(value, list) or not all(map(is_entry, _leaves(value))):
+        raise ValueError(f"{field!r} must be an array of {kind}")
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{field!r} holds a number out of range") from None
+    if not np.isfinite(array).all():
+        raise ValueError(f"{field!r} holds a non-finite number")
+    return array
+
+
 def _load_cubature_file(path: str) -> tuple[Cubature, MonomialBasis]:
     data = _read_json(path, "cubature file")
     try:
         basis = basis_from_config(data["basis"])
         cubature = Cubature(
-            node_indices=np.asarray(data["node_indices"], dtype=np.int64),
-            nodes=np.asarray(data["nodes"], dtype=float),
-            weights=np.asarray(data["weights"], dtype=float),
+            node_indices=_json_array(data, "node_indices", _is_json_integer, "integers", np.int64),
+            nodes=_json_array(data, "nodes", _is_json_number, "numbers", float),
+            weights=_json_array(data, "weights", _is_json_number, "numbers", float),
             degree=data.get("degree"),
             basis_id=basis.identifier,
         )
@@ -305,7 +338,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
             f"have {cubature.nodes.shape[1]}, but the measure has {measure.num_vars}"
         )
     try:
-        verification = verify_cubature(measure, cubature, basis, cfg.tol)
+        verification = verify_cubature(measure, cubature, basis)
     except IndexError as exc:
         raise CliError(str(exc)) from exc
     passed = verification.passes(cfg.tol, cfg.mass_tol)

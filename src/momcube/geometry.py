@@ -251,27 +251,26 @@ def _decide_membership(
 
     The hull constraint is a row of ones with right-hand side 1, written
     straight into the equilibrated system.  One Lawson-Hanson NNLS solve
-    on the row-equilibrated, sign-flipped system answers both ways.  A
-    zero residual gives the witness: the passive set, whose columns the
-    entry test keeps independent, so at most D of them, with its weights.
-    It is re-checked on those columns in the original coordinates.  A
-    nonzero optimal residual r has A^T r <= 0 and b . r = |r|^2 > 0, so r,
-    mapped back to the original rows, is itself a Farkas functional; it is
-    re-checked against every column.  Anything that passes neither
-    re-check is Indeterminate.
+    on the row-equilibrated system answers both ways.  A zero residual
+    gives the witness: the passive set, whose columns the entry test keeps
+    independent, so at most D of them, with its weights.  It is re-checked
+    on those columns in the original coordinates.  A nonzero optimal
+    residual r has A^T r <= 0 and b . r = |r|^2 > 0, so r, mapped back to
+    the original rows, is itself a Farkas functional; it is re-checked
+    against every column.  Anything that passes neither re-check is
+    Indeterminate.
     """
     d, m = columns.shape
     rows = d + hull
     if max_iterations is None:
         max_iterations = 50 * (rows + m)
 
-    # Row equilibration: scale each constraint to unit magnitude, and flip
-    # signs so the right-hand side is nonnegative.  With no columns there is
-    # nothing to equilibrate against; unit scales then make the certificate
-    # of a nonzero target the normalized target itself.
+    # Row equilibration: scale each constraint to unit magnitude.  With no
+    # columns there is nothing to equilibrate against; unit scales then make
+    # the certificate of a nonzero target the normalized target itself.
     row_mag = np.maximum(np.abs(columns).max(axis=1, initial=0.0), np.abs(target))
     row_scale = np.where((row_mag > 0.0) & (m > 0), row_mag, 1.0)
-    scale = np.where(target < 0.0, -1.0, 1.0) / row_scale
+    scale = 1.0 / row_scale
     a_eq = np.empty((rows, m))
     np.multiply(columns, scale[:, None], out=a_eq[:d])
     b_eq = target * scale
@@ -320,8 +319,7 @@ def _decide_membership(
 
 
 def _as_target(moments) -> np.ndarray:
-    values = getattr(moments, "values", moments)
-    target = np.asarray(values, dtype=float).reshape(-1)
+    target = np.asarray(moments, dtype=float).reshape(-1)
     if not np.isfinite(target).all():
         raise ValueError("moment vector must be finite")
     return target
@@ -450,7 +448,7 @@ def parse_moment_key(key: str) -> MultiIndex:
 
 def moments_to_dict(basis: MonomialBasis, values) -> dict:
     """Serializable moment file content: basis block plus keyed moments."""
-    vals = np.asarray(getattr(values, "values", values), dtype=float).reshape(-1)
+    vals = np.asarray(values, dtype=float).reshape(-1)
     if vals.shape[0] != basis.dimension:
         raise ValueError(
             f"{vals.shape[0]} moment values for a basis of dimension {basis.dimension}"

@@ -110,23 +110,6 @@ class FunctionDictionary:
 Features = Union[MonomialBasis, FunctionDictionary]
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """Integrals of every feature against the measure."""
-
-    values: np.ndarray
-    basis_or_dict_id: str
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float).reshape(-1)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def dimension(self) -> int:
-        return self.values.shape[0]
-
-
 def feature_count(features: Features) -> int:
     if isinstance(features, MonomialBasis):
         return features.dimension
@@ -379,11 +362,12 @@ def _compensated_accumulate(total, comp, partial):
     return fresh, comp
 
 
-def moment_vector(measure: DiscreteMeasure, features: Features) -> MomentVector:
+def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
     """Weighted feature sums over all atoms, compensated per feature.
 
-    Entry j is sum_a w_a * phi_j(x_a).  Atoms are processed in fixed-size
-    chunks in index order, so results are bit-stable across runs.
+    Entry j is sum_a w_a * phi_j(x_a), returned as a read-only float64
+    array of length D.  Atoms are processed in fixed-size chunks in index
+    order, so results are bit-stable across runs.
     """
     d = feature_count(features)
     m = measure.num_atoms
@@ -394,4 +378,6 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> MomentVector:
         block = _feature_block(features, measure.atoms[start:stop], start)
         partial = (block * measure.weights[start:stop]).sum(axis=1)
         total, comp = _compensated_accumulate(total, comp, partial)
-    return MomentVector(values=total + comp, basis_or_dict_id=features.identifier)
+    values = total + comp
+    values.setflags(write=False)
+    return values

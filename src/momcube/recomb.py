@@ -34,6 +34,10 @@ rank decision counts singular values above a tolerance: the kernel's null
 basis and closing full-rank check, and the detected rank of the input's
 feature columns.  Grouping is fixed and no step is random, so reruns are
 identical.
+
+The public entry points are ``reduce`` and ``cubature_of_degree``.  The
+kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
+rescale are internal; the report carries the rescale as a dict.
 """
 
 from __future__ import annotations
@@ -161,7 +165,7 @@ def _rank(singular_values: np.ndarray, nrows: int, tol_factor: float) -> int:
     return int(np.count_nonzero(singular_values > tol))
 
 
-def _null_basis(cols: np.ndarray, tol_factor: float = 1.0) -> np.ndarray:
+def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
     """Trailing right singular vectors of a D x n matrix, as n x k columns.
 
     k is n minus the rank that ``_rank`` decides from the singular values;
@@ -171,27 +175,14 @@ def _null_basis(cols: np.ndarray, tol_factor: float = 1.0) -> np.ndarray:
     return vt[_rank(s, cols.shape[0], tol_factor):].T
 
 
-def find_null_vector(columns) -> np.ndarray | None:
-    """A nonzero c with columns @ c ~ 0, or None when the columns have full rank.
-
-    The vector is normalized to unit max-abs entry.  Rank is decided from
-    the singular values at tolerance nrows * eps * (largest singular
-    value); full rank is the normal terminating signal for reduction
-    loops, not a failure.
-    """
-    cols = np.asarray(columns, dtype=float)
-    if cols.ndim != 2:
-        raise ValueError(f"expected a 2-d column matrix, got shape {cols.shape}")
-    if not np.isfinite(cols).all():
-        raise ValueError("column matrix must be finite")
-    null = _null_basis(cols)
-    if not null.shape[1]:
-        return None
-    c = null[:, 0]
-    return c / np.abs(c).max()
-
-
 def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Shift mass along a null direction until one weight hits exactly zero.
+
+    Picks t* = min over {j: c_j > 0} of w_j / c_j (smallest index on ties)
+    and returns (w - t* c, index of the zeroed entry).  A direction with no
+    positive entry is negated first, so t* is always defined; the result is
+    nonnegative and the weighted column sum is unchanged in exact arithmetic.
+    """
     pos = c > 0.0
     if not pos.any():
         c = -c
@@ -208,24 +199,6 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     out[j_star] = 0.0
     np.maximum(out, 0.0, out=out)
     return out, j_star
-
-
-def elimination_step(weights, null_vector) -> tuple[np.ndarray, int]:
-    """Shift mass along a null direction until one weight hits exactly zero.
-
-    Picks t* = min over {j: c_j > 0} of w_j / c_j (smallest index on ties),
-    returns (w - t* c, index of the zeroed entry).  The null direction is
-    negated first if it has no positive entry, so t* is always defined; all
-    surviving entries stay nonnegative and the weighted column sum is
-    unchanged in exact arithmetic.
-    """
-    w = np.asarray(weights, dtype=float)
-    c = np.asarray(null_vector, dtype=float)
-    if w.shape != c.shape or w.ndim != 1:
-        raise ValueError("weights and null vector must be 1-d arrays of equal length")
-    if not np.any(c != 0.0):
-        raise ValueError("null vector is identically zero")
-    return _eliminate(w, c)
 
 
 class _SpanTracker:
@@ -459,8 +432,8 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         # pin it exactly by one global rescale of the surviving weights.
         w = w * (measure.total_mass / math.fsum(w.tolist()))
     nodes = atoms[idx]
-    target = moment_vector(measure, features).values
-    achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features).values
+    target = moment_vector(measure, features)
+    achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features)
     residual = float(np.max(np.abs(achieved - target) / (1.0 + np.abs(target))))
     svals = np.linalg.svd(carried, compute_uv=False)
 

@@ -3,12 +3,13 @@
 Everything is recomputed from scratch in original coordinates with
 compensated summation: this module must not inherit any state (rescaling,
 cached features) from the engine that produced the cubature, otherwise it
-would inherit its errors too.
+would inherit its errors too.  ``verify_cubature`` takes no tolerance: its
+report carries the raw residuals and flags, and callers judge it with
+``VerificationReport.passes(tol, mass_tol)``.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -55,37 +56,29 @@ class VerificationReport:
             "mass_gap_rel": self.mass_gap_rel,
         }
 
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
-
 
 def verify_cubature(
     measure: DiscreteMeasure,
     cubature: Cubature,
     features: Features,
-    tol: float = 1e-8,
 ) -> VerificationReport:
     """Recompute both moment vectors and compare, flagging every invariant.
 
     Node indices outside the measure are an error (they cannot be checked
     against anything); a node whose coordinates disagree with the indexed
-    atom is reported as a support violation instead.  ``tol`` must be
-    positive but is neither applied nor stored: the report carries the raw
-    residuals, and callers judge them with ``passes(tol, mass_tol)``.
+    atom is reported as a support violation instead.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     idx = cubature.node_indices
     if idx.min(initial=0) < 0 or idx.max(initial=-1) >= measure.num_atoms:
         raise IndexError(
             f"cubature references atom indices outside 0..{measure.num_atoms - 1}"
         )
 
-    target = moment_vector(measure, features).values
+    target = moment_vector(measure, features)
     # Both sides go through the same compensated accumulation, so an
     # identity cubature compares bitwise equal and reports zero residual.
     node_measure = DiscreteMeasure(atoms=cubature.nodes, weights=cubature.weights)
-    achieved = moment_vector(node_measure, features).values
+    achieved = moment_vector(node_measure, features)
     residual = np.abs(achieved - target) / (1.0 + np.abs(target))
 
     support_ok = bool(np.array_equal(cubature.nodes, measure.atoms[idx]))

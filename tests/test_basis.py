@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import momcube.basis
 from momcube import (
     BasisError,
-    basis_dimension,
     basis_from_config,
     build_basis,
     embed_block,
@@ -65,12 +65,12 @@ class TestBuildBasis:
     )
     def test_unit_weight_dimension_is_binomial(self, n, m):
         basis = build_basis(n, [1] * n, m)
-        assert basis_dimension(basis) == math.comb(n + m, m)
+        assert basis.dimension == math.comb(n + m, m)
 
     def test_known_dimension_examples(self):
-        assert basis_dimension(build_basis(1, [1], 5)) == 6
-        assert basis_dimension(build_basis(2, [1, 1], 2)) == 6
-        assert basis_dimension(build_basis(2, [1, 2], 3)) == 6
+        assert build_basis(1, [1], 5).dimension == 6
+        assert build_basis(2, [1, 1], 2).dimension == 6
+        assert build_basis(2, [1, 2], 3).dimension == 6
 
     @pytest.mark.parametrize(
         "args",
@@ -87,10 +87,12 @@ class TestBuildBasis:
         with pytest.raises(BasisError):
             build_basis(*args)
 
-    def test_dimension_cap(self):
+    def test_dimension_cap(self, monkeypatch):
+        monkeypatch.setattr(momcube.basis, "DEFAULT_DIMENSION_CAP", 5000)
         with pytest.raises(BasisError):
-            build_basis(2, [1, 1], 100, dimension_cap=5000)  # needs 5151
-        assert build_basis(2, [1, 1], 100, dimension_cap=5151).dimension == 5151
+            build_basis(2, [1, 1], 100)  # needs 5151
+        monkeypatch.setattr(momcube.basis, "DEFAULT_DIMENSION_CAP", 5151)
+        assert build_basis(2, [1, 1], 100).dimension == 5151
 
     def test_from_config_defaults_to_unit_weights(self):
         basis = basis_from_config({"num_vars": 2, "max_degree": 2})

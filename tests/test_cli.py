@@ -55,6 +55,17 @@ class TestReduceCommand:
         verification = json.loads((out / "verification_report.json").read_text())
         assert verification["max_residual_rel"] <= 1e-8
 
+    def test_reports_agree_on_the_residual(self, tmp_path):
+        data, out = tmp_path / "data", tmp_path / "out"
+        assert main(["gen", "--seed", "5", "--num-atoms", "3000", "--num-vars", "2",
+                     "--out-dir", str(data)]) == 0
+        assert main(["reduce", "--input", str(data / "measure.csv"), "--num-vars", "2",
+                     "--degree", "4", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "reduction_report.json").read_text())
+        verification = json.loads((out / "verification_report.json").read_text())
+        assert report["max_moment_residual_rel"] > 0.0
+        assert report["max_moment_residual_rel"] == verification["max_residual_rel"]
+
     def test_empty_csv_exits_two(self, tmp_path, capsys):
         empty = _write(tmp_path / "empty.csv", "")
         code = main([
@@ -246,6 +257,47 @@ class TestVerifyCommand:
         ])
         assert code == 1
 
+
+    @staticmethod
+    def _verify_identity(tmp_path, **fields):
+        """Exit code of verify on an identity cubature of three atoms, with
+        ``fields`` replaced in the cubature file."""
+        measure = _write(tmp_path / "line.csv", "0\n1\n2\n")
+        payload = {
+            "nodes": [[0.0], [1.0], [2.0]], "weights": [1.0, 1.0, 1.0], "degree": 2,
+            "basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 2},
+            "node_indices": [0, 1, 2], **fields,
+        }
+        cubature = _write(tmp_path / "cubature.json", json.dumps(payload))
+        return main([
+            "verify", "--input", measure, "--num-vars", "1",
+            "--cubature", cubature, "--out-dir", str(tmp_path / "check"),
+        ])
+
+    def test_identity_cubature_file_passes(self, tmp_path):
+        assert self._verify_identity(tmp_path) == 0
+        assert (tmp_path / "check" / "verification_report.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_indices", [0, 1.5, 2]),
+        ("node_indices", [0, "1", 2]),
+        ("node_indices", [0, True, 2]),
+        ("node_indices", [0, 1e20, 2]),
+        ("node_indices", [0, 10**20, 2]),
+        ("node_indices", 1),
+        ("nodes", [[0.0], ["1"], [2.0]]),
+        ("nodes", [[0.0], [True], [2.0]]),
+        ("weights", [1.0, "1", 1.0]),
+        ("weights", [1.0, True, 1.0]),
+        ("nodes", [[0.0], [float("inf")], [2.0]]),
+        ("weights", [float("nan"), 1.0, 1.0]),
+    ], ids=["index-float", "index-string", "index-true", "index-1e20", "index-int-1e20",
+            "index-not-array", "node-string", "node-true", "weight-string", "weight-true",
+            "node-infinity", "weight-nan"])
+    def test_bad_cubature_file_value_exits_two(self, tmp_path, capsys, field, value):
+        assert self._verify_identity(tmp_path, **{field: value}) == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not (tmp_path / "check" / "verification_report.json").exists()
 
     def test_basis_of_other_dimension_exits_two(self, tmp_path, capsys):
         measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")

@@ -47,7 +47,7 @@ class TestConeMembership:
         measure = DiscreteMeasure(rng.uniform(-2, 2, (12, 2)), rng.uniform(0.5, 2, 12))
         basis = build_basis(2, [1, 1], 2)
         columns = feature_matrix(measure, basis)
-        target = moment_vector(measure, basis).values
+        target = moment_vector(measure, basis)
         result = cone_membership(target, columns)
         assert result.status is FeasibilityStatus.FEASIBLE
         assert _witness_residual(result, columns, target) <= 1e-9
@@ -143,14 +143,14 @@ class TestConeMembership:
         basis = build_basis(2, [1, 1], 2)
         measure = DiscreteMeasure(rng.uniform(-2, 2, (25, 2)), rng.uniform(0.1, 1, 25))
         columns = feature_matrix(measure, basis)
-        target = moment_vector(measure, basis).values
+        target = moment_vector(measure, basis)
         result = cone_membership(target, columns)
         assert result.status is FeasibilityStatus.FEASIBLE
         support = np.flatnonzero(result.weights > 0)
         witness = DiscreteMeasure(measure.atoms[support], result.weights[support])
         cubature, _ = reduce(witness, basis)
         assert cubature.num_nodes <= basis.dimension
-        verification = verify_cubature(witness, cubature, basis, 1e-8)
+        verification = verify_cubature(witness, cubature, basis)
         assert verification.max_residual_rel <= 1e-8
 
 
@@ -214,7 +214,7 @@ class TestTruncatedMomentFeasible:
         weights = rng.uniform(0.1, 2.0, 15)
         basis = build_basis(2, [1, 1], 2)
         measure = DiscreteMeasure(grid, weights)
-        target = moment_vector(measure, basis).values
+        target = moment_vector(measure, basis)
         moments = {alpha: float(v) for alpha, v in zip(basis.indices, target)}
         result, witness = truncated_moment_feasible(moments, grid, 2, [1, 1], 2)
         assert result.status is FeasibilityStatus.FEASIBLE
@@ -273,13 +273,13 @@ class TestTruncatedMomentFeasible:
         weights = rng.uniform(0.1, 1.0, 20)
         basis = build_basis(1, [1], 3)
         measure = DiscreteMeasure(grid, weights)
-        target = moment_vector(measure, basis).values
+        target = moment_vector(measure, basis)
         moments = dict(zip(basis.indices, target))
         result, witness = truncated_moment_feasible(moments, grid, 1, [1], 3)
         assert result.status is FeasibilityStatus.FEASIBLE
         cubature, _ = reduce(witness, basis)
         assert cubature.num_nodes <= basis.dimension
-        verification = verify_cubature(witness, cubature, basis, 1e-8)
+        verification = verify_cubature(witness, cubature, basis)
         assert verification.max_residual_rel <= 1e-8
 
 

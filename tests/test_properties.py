@@ -59,7 +59,7 @@ def test_reduce_meets_the_cubature_contract(case):
     assert 1 <= cubature.num_nodes <= basis.dimension
     np.testing.assert_array_equal(cubature.nodes, measure.atoms[cubature.node_indices])
     assert (cubature.weights > 0.0).all()
-    verification = verify_cubature(measure, cubature, basis, MOMENT_TOL)
+    verification = verify_cubature(measure, cubature, basis)
     assert verification.passes(MOMENT_TOL, mass_tol=MASS_TOL), verification.to_dict()
     mass = measure.total_mass
     assert abs(math.fsum(cubature.weights.tolist()) - mass) <= MASS_TOL * mass

@@ -8,8 +8,10 @@ import pytest
 from momcube import (
     Cubature,
     DiscreteMeasure,
+    FunctionDictionary,
     build_basis,
     cubature_of_degree,
+    reduce,
     verify_cubature,
 )
 
@@ -40,7 +42,7 @@ def grid_basis():
 class TestVerifyCubature:
     def test_identity_cubature_is_exact(self, grid_measure, grid_basis):
         report = verify_cubature(
-            grid_measure, _identity_cubature(grid_measure, grid_basis), grid_basis, 1e-8
+            grid_measure, _identity_cubature(grid_measure, grid_basis), grid_basis
         )
         assert report.max_residual_rel == 0.0
         assert report.per_moment_residual_rel.max() == 0.0
@@ -58,7 +60,7 @@ class TestVerifyCubature:
             degree=grid_basis.max_degree,
             basis_id=grid_basis.identifier,
         )
-        report = verify_cubature(grid_measure, tampered, grid_basis, 1e-8)
+        report = verify_cubature(grid_measure, tampered, grid_basis)
         assert report.mass_gap_rel > 1e-8
         assert not report.passes(1e-8, 1e-12)
 
@@ -72,7 +74,7 @@ class TestVerifyCubature:
             degree=grid_basis.max_degree,
             basis_id=grid_basis.identifier,
         )
-        report = verify_cubature(grid_measure, tampered, grid_basis, 1e-8)
+        report = verify_cubature(grid_measure, tampered, grid_basis)
         assert not report.support_ok
         assert not report.passes(1e-8)
 
@@ -85,12 +87,12 @@ class TestVerifyCubature:
             basis_id=grid_basis.identifier,
         )
         with pytest.raises(IndexError):
-            verify_cubature(grid_measure, bad, grid_basis, 1e-8)
+            verify_cubature(grid_measure, bad, grid_basis)
 
     def test_cardinality_flag(self, grid_measure):
         tiny_basis = build_basis(2, [1, 1], 0)
         report = verify_cubature(
-            grid_measure, _identity_cubature(grid_measure, tiny_basis), tiny_basis, 1e-8
+            grid_measure, _identity_cubature(grid_measure, tiny_basis), tiny_basis
         )
         assert not report.cardinality_ok
         assert not report.passes(1e-8)
@@ -101,21 +103,15 @@ class TestVerifyCubature:
         )
         basis = build_basis(1, [1], 4)
         cubature, _ = cubature_of_degree(measure, 1, [1], 4)
-        report = verify_cubature(measure, cubature, basis, 1e-10)
+        report = verify_cubature(measure, cubature, basis)
         assert report.max_residual_rel <= 1e-10
         assert report.passes(1e-10, 1e-12)
 
-    def test_rejects_non_positive_tol(self, grid_measure, grid_basis):
-        with pytest.raises(ValueError):
-            verify_cubature(
-                grid_measure, _identity_cubature(grid_measure, grid_basis), grid_basis, 0.0
-            )
-
     def test_report_json_keys_are_stable(self, grid_measure, grid_basis):
         report = verify_cubature(
-            grid_measure, _identity_cubature(grid_measure, grid_basis), grid_basis, 1e-8
+            grid_measure, _identity_cubature(grid_measure, grid_basis), grid_basis
         )
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert list(payload) == [
             "per_moment_residual_rel",
             "max_residual_rel",
@@ -129,6 +125,31 @@ class TestVerifyCubature:
         cubature = _identity_cubature(grid_measure, grid_basis)
         atoms_before = grid_measure.atoms.copy()
         weights_before = cubature.weights.copy()
-        verify_cubature(grid_measure, cubature, grid_basis, 1e-8)
+        verify_cubature(grid_measure, cubature, grid_basis)
         np.testing.assert_array_equal(grid_measure.atoms, atoms_before)
         np.testing.assert_array_equal(cubature.weights, weights_before)
+
+
+class TestResidualsAgree:
+    """reduce's reported residual is verify_cubature's, to the last bit."""
+
+    @pytest.mark.parametrize("n, num_vars, degree", [(50, 1, 4), (3000, 2, 5), (20_000, 3, 3)])
+    def test_monomial_basis(self, n, num_vars, degree):
+        rng = np.random.default_rng(n)
+        measure = DiscreteMeasure(
+            rng.uniform(-3.0, 5.0, (n, num_vars)), rng.uniform(0.1, 2.0, n)
+        )
+        basis = build_basis(num_vars, None, degree)
+        cubature, report = reduce(measure, basis)
+        verification = verify_cubature(measure, cubature, basis)
+        assert report.max_moment_residual_rel > 0.0
+        assert report.max_moment_residual_rel == verification.max_residual_rel
+
+    def test_function_dictionary(self):
+        measure = DiscreteMeasure(np.linspace(0.0, 3.0, 500).reshape(-1, 1), np.ones(500))
+        features = FunctionDictionary(
+            3, lambda x: np.array([np.sin(x[0]), np.cos(x[0]), x[0]])
+        )
+        cubature, report = reduce(measure, features)
+        verification = verify_cubature(measure, cubature, features)
+        assert report.max_moment_residual_rel == verification.max_residual_rel
