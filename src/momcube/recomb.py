@@ -1,7 +1,7 @@
 """Carathéodory recombination: thin a discrete measure onto few of its atoms.
 
-The kernel takes one SVD of the active atoms' feature columns, whose
-trailing right singular vectors span their null space, and applies a
+The kernel takes one factorization of the active atoms' feature columns,
+which gives an orthonormal basis of their null space, and applies a
 positivity-preserving pivot along each null vector in turn; each pivot
 zeroes at least one weight, and a Gaussian column update keeps the
 remaining null vectors null on the survivors.  It refactorizes only after
@@ -29,11 +29,13 @@ matrices:
   applied to at most 2D columns at a time: a level's group means or the
   base case.
 
-Every factorization is a ``numpy.linalg.svd`` (LAPACK ``gesdd``), and every
-rank decision counts singular values above a tolerance: the kernel's null
-basis and closing full-rank check, and the detected rank of the input's
-feature columns.  Grouping is fixed and no step is random, so reruns are
-identical.
+Every factorization is a ``numpy.linalg.qr`` (LAPACK ``geqrf``) or a
+``numpy.linalg.svd`` (LAPACK ``gesdd``).  Above D columns the kernel's null
+basis comes from a complete QR, which needs no rank decision.  Every rank
+decision counts singular values above a tolerance: the kernel's null basis
+on at most D columns and its closing full-rank check, and the detected rank
+of the input's feature columns.  Grouping is fixed and no step is random,
+so reruns are identical.
 
 The public entry points are ``reduce`` and ``cubature_of_degree``.  The
 kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
@@ -47,9 +49,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import measure as _measure
 from .basis import MonomialBasis, build_basis
 from .measure import (
-    _CHUNK,
     DiscreteMeasure,
     Features,
     _feature_block,
@@ -100,8 +102,8 @@ class Cubature:
             raise ValueError("node_indices, nodes, and weights must agree in length")
         if idx.shape[0] < 1:
             raise ValueError("a cubature needs at least one node")
-        if (weights <= 0.0).any():
-            raise ValueError("cubature weights must be strictly positive")
+        if not (np.isfinite(weights) & (weights > 0.0)).all():
+            raise ValueError("cubature weights must be finite and strictly positive")
         if len(set(idx.tolist())) != idx.shape[0]:
             raise ValueError("node indices must be distinct")
         for arr in (idx, nodes, weights):
@@ -134,11 +136,12 @@ class ReductionReport:
     the base cases.  ``tree_levels`` counts the group-mean levels that
     removed groups, and ``rank_tol_factor`` is the factor by which the
     internal rescale loosened every rank decision (1 for dictionaries,
-    which are not rescaled).  ``factorizations`` counts the kernel's SVDs,
-    closing full-rank checks included.  ``weight_ratio`` is the largest
-    final weight over the smallest, and ``node_condition`` the ratio of the
-    extreme singular values of the nodes' feature columns in the internal
-    (rescaled) coordinates, infinite when they are singular.
+    which are not rescaled).  ``factorizations`` counts the kernel's QRs
+    and SVDs, closing full-rank checks included, and ``chunks`` the
+    contiguous atom chunks ``reduce`` read.  ``weight_ratio`` is the
+    largest final weight over the smallest, and ``node_condition`` the
+    ratio of the extreme singular values of the nodes' feature columns in
+    the internal (rescaled) coordinates, infinite when they are singular.
     """
 
     initial_atoms: int
@@ -152,6 +155,7 @@ class ReductionReport:
     factorizations: int
     weight_ratio: float
     node_condition: float
+    chunks: int
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -166,13 +170,20 @@ def _rank(singular_values: np.ndarray, nrows: int, tol_factor: float) -> int:
 
 
 def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
-    """Trailing right singular vectors of a D x n matrix, as n x k columns.
+    """Orthonormal null vectors of a D x n matrix, as n x k columns.
 
-    k is n minus the rank that ``_rank`` decides from the singular values;
-    k = 0 means the columns have full rank.
+    Above D columns they are the trailing n - D columns of a complete QR of
+    the transpose: orthogonal to the row space whatever the rank, so no rank
+    decision is needed, and k = n - D.  At most D columns they are the
+    trailing right singular vectors, and k is n minus the rank that
+    ``_rank`` decides from the singular values; k = 0 means the columns have
+    full rank.
     """
+    nrows, n = cols.shape
+    if n > nrows:
+        return np.linalg.qr(cols.T, mode="complete")[0][:, nrows:]
     _, s, vt = np.linalg.svd(cols, full_matrices=True)
-    return vt[_rank(s, cols.shape[0], tol_factor):].T
+    return vt[_rank(s, nrows, tol_factor):].T
 
 
 def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
@@ -242,22 +253,23 @@ def _sweep(
     noise amplification an internal coordinate rescale introduced, so
     directions below input rounding noise do not count.
 
-    Each round takes one SVD of the live columns and eliminates along its
-    null basis in turn.  After each elimination a Gaussian column update
-    subtracts a multiple of the used direction from the remaining null
-    vectors, so they vanish on the removed atom and stay null vectors of
-    the survivors.  A round ends when the basis is used up, or when one
+    Each round takes one factorization of the live columns (``_null_basis``)
+    and eliminates along its null basis in turn.  After each elimination a
+    Gaussian update subtracts a multiple of the used direction from the
+    remaining null vectors in place, so they vanish on the removed atom
+    and stay null vectors of the survivors; removed atoms are dropped when
+    the round ends.  A round ends when the basis is used up, or when one
     step zeroes more than one weight (a tie), which the single-column
     update cannot follow; the next round refactorizes.  With at most D
     live columns a round starts with the singular values alone, which
     settle full rank (the closing check) without the null basis.
 
     With ``project_constant`` (monomial bases, whose entry 0 is the
-    constant), each direction is projected onto zero sum.  The constant
-    row already makes it sum to zero up to rounding; removing that
-    rounding keeps the mass exact along the chain.  Without the
-    projection the worst verify residual on the ``reduce-d126`` benchmark
-    inputs (seeds 1-3, D = 126) rose from 3.4e-13 to 5.3e-13.
+    constant), each direction is projected onto zero sum over the live
+    atoms.  The constant row already makes it sum to zero up to rounding;
+    removing that rounding keeps the mass exact along the chain.  Without
+    the projection the worst verify residual on the ``reduce-d126``
+    benchmark inputs (seeds 1-3, D = 126) rose from 3.4e-13 to 5.3e-13.
     """
     nrows = cols.shape[0]
     idx = np.arange(cols.shape[1])
@@ -271,31 +283,45 @@ def _sweep(
             if _rank(svals, nrows, tol_factor) == idx.shape[0]:
                 break
         factorizations += 1
-        null = _null_basis(live, tol_factor)
-        if not null.shape[1]:
+        # One null vector per row, updated in place; removed atoms keep
+        # their columns (weight and null entries exactly 0) until the round
+        # ends.
+        null = np.ascontiguousarray(_null_basis(live, tol_factor).T)
+        if not null.shape[0]:
             # The full SVD's singular values put the rank at n after all
             # (they may differ from svdvals' in the last bits).
             break
-        while null.shape[1]:
-            c = null[:, 0] / np.abs(null[:, 0]).max()
+        alive = np.ones(idx.shape[0], dtype=bool)
+        count = idx.shape[0]
+        buf = np.empty_like(null[1:])
+        for i in range(null.shape[0]):
+            c = null[i]
+            c /= np.abs(c).max()
             if project_constant:
-                projected = c - c.sum() / c.shape[0]
+                projected = c - (c.sum() / count) * alive
                 peak = np.abs(projected).max()
                 if peak > 1e-8:
                     c = projected / peak
             new_w, j_star = _eliminate(w, c)
             keep = new_w > 0.0
-            if not keep.any():
+            left = int(np.count_nonzero(keep))
+            if not left:
                 # Exactly cancelling features (zero moment vector): no atom
                 # can be removed without losing representability, stop here.
-                return idx, w, steps, factorizations
+                return idx[alive], w[alive], steps, factorizations
             steps += 1
-            idx = idx[keep]
-            w = new_w[keep]
-            if idx.shape[0] < keep.shape[0] - 1:
+            w = new_w
+            alive = keep
+            if left < count - 1:
                 break  # a tie: refactorize
-            rest = null[:, 1:]
-            null = (rest - np.outer(c, rest[j_star] / c[j_star]))[keep]
+            count = left
+            rest = null[i + 1:]
+            update = buf[:rest.shape[0]]
+            np.multiply.outer(rest[:, j_star] / c[j_star], c, out=update)
+            rest -= update
+            rest[:, j_star] = 0.0
+        idx = idx[alive]
+        w = w[alive]
     return idx, w, steps, factorizations
 
 
@@ -399,16 +425,18 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     idx = np.empty(0, dtype=np.int64)
     w = np.empty(0)
     carried = np.empty((dim, 0))
-    steps = factorizations = levels = 0
-    for start in range(0, measure.num_atoms, _CHUNK):
-        pts = atoms[start:start + _CHUNK]
+    steps = factorizations = levels = chunks = 0
+    size = _measure._CHUNK
+    for start in range(0, measure.num_atoms, size):
+        chunks += 1
+        pts = atoms[start:start + size]
         # Errors from a dictionary name the global atom index.
         cols = _feature_block(features, pts if rescale is None else rescale.apply(pts), start)
         # Small slices keep the tracker's SVD workspace O(D^2).
         for k in range(0, cols.shape[1], 2 * dim):
             tracker.add(cols[:, k:k + 2 * dim])
         chunk = np.arange(start, start + cols.shape[1])
-        chunk_w = measure.weights[start:start + _CHUNK]
+        chunk_w = measure.weights[start:start + size]
         if idx.shape[0]:
             chunk = np.concatenate([idx, chunk])
             chunk_w = np.concatenate([w, chunk_w])
@@ -458,6 +486,7 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         factorizations=factorizations,
         weight_ratio=float(w.max() / w.min()),
         node_condition=float(svals[0] / svals[-1]) if svals[-1] > 0.0 else math.inf,
+        chunks=chunks,
     )
     return cubature, report
 

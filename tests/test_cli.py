@@ -50,6 +50,7 @@ class TestReduceCommand:
         assert report["tree_levels"] == 0  # 5 atoms fit the base case (2D = 6)
         assert report["rank_tol_factor"] >= 1.0
         assert report["factorizations"] >= 1
+        assert report["chunks"] == 1
         assert report["weight_ratio"] >= 1.0
         assert report["node_condition"] >= 1.0
         verification = json.loads((out / "verification_report.json").read_text())

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import momcube.measure
 from momcube import (
     DiscreteMeasure,
     FunctionDictionary,
@@ -60,6 +61,23 @@ class TestFindNullVector:
             d = int(rng.integers(2, 9))
             m = int(rng.integers(d + 1, 2 * d + 4))
             cols = rng.standard_normal((d, m)) * rng.uniform(0.5, 20)
+            null = _null_basis(cols, 1.0)
+            assert null.shape == (m, m - d)
+            np.testing.assert_allclose(null.T @ null, np.eye(m - d), atol=1e-13)
+            max_colnorm = np.linalg.norm(cols, axis=0).max()
+            bound = 100 * d * np.finfo(float).eps * max_colnorm
+            assert np.linalg.norm(cols @ null, axis=0).max() <= bound
+
+    def test_rank_deficient_wide_inputs(self):
+        # Above d columns the basis takes no rank decision: whatever the
+        # rank, every returned column is a null vector.
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            d = int(rng.integers(3, 9))
+            rank = int(rng.integers(1, d))
+            m = int(rng.integers(d + 1, 2 * d + 4))
+            cols = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, m))
+            cols *= rng.uniform(0.5, 20)
             null = _null_basis(cols, 1.0)
             assert null.shape == (m, m - d)
             np.testing.assert_allclose(null.T @ null, np.eye(m - d), atol=1e-13)
@@ -266,6 +284,33 @@ class TestSweepFactorizations:
         achieved = fsum_moments(cubature.nodes, cubature.weights, basis.indices)
         assert (np.abs(achieved - target) <= 1e-14 * (1.0 + np.abs(target))).all()
 
+    def test_rank_deficient_base_case_continues_after_the_qr_basis(self):
+        # 30 atoms on the unit circle at degree 4 (D = 15) are one base case
+        # of rank 9.  The QR basis of the 30 columns has 15 null vectors;
+        # the 15 survivors are still dependent, so the round after it takes
+        # an SVD null basis, and the closing check another SVD.
+        t = 0.1 + 2.0 * np.pi * np.arange(30) / 30
+        measure = DiscreteMeasure(
+            np.column_stack([np.cos(t), np.sin(t)]),
+            np.random.default_rng(151).uniform(0.5, 2.0, 30),
+        )
+        basis = build_basis(2, [1, 1], 4)
+        cubature, report = reduce(measure, basis)
+        assert basis.dimension == 15
+        assert report.tree_levels == 0
+        assert report.detected_rank == 9
+        assert report.elimination_steps > 15
+        assert report.factorizations >= 3
+        assert 1 <= cubature.num_nodes <= 9
+        assert (cubature.weights > 0).all()
+        np.testing.assert_array_equal(cubature.nodes, measure.atoms[cubature.node_indices])
+        verification = verify_cubature(measure, cubature, basis)
+        assert verification.max_residual_rel <= 1e-8
+        assert verification.mass_gap_rel <= 1e-12
+        again, _ = reduce(measure, basis)
+        np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
+        np.testing.assert_array_equal(again.weights, cubature.weights)
+
     @pytest.mark.parametrize(
         "atoms, min_tol_factor",
         [
@@ -417,6 +462,18 @@ class TestReduceStreaming:
         again, _ = reduce(measure, features)
         np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
         np.testing.assert_array_equal(again.weights, cubature.weights)
+
+    def test_chunk_count(self, monkeypatch):
+        measure = _unit_grid_measure(np.linspace(-1.0, 1.0, 150))
+        basis = build_basis(1, [1], 2)
+        _, report = reduce(measure, basis)
+        assert report.chunks == 1
+        monkeypatch.setattr(momcube.measure, "_CHUNK", 100)
+        cubature, report = reduce(measure, basis)
+        assert report.chunks == 2
+        assert report.to_dict()["chunks"] == 2
+        assert cubature.num_nodes <= 3
+        assert verify_cubature(measure, cubature, basis).passes(1e-8, 1e-12)
 
     def test_second_chunk_error_names_the_global_atom(self):
         def failing_at_70000(x):

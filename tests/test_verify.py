@@ -78,6 +78,11 @@ class TestVerifyCubature:
         assert not report.support_ok
         assert not report.passes(1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_cubature_rejects_non_finite_or_non_positive_weight(self, bad):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            Cubature([0, 1], [[0.0], [1.0]], [bad, 1.0], None, "x")
+
     def test_out_of_range_index_is_an_error(self, grid_measure, grid_basis):
         bad = Cubature(
             node_indices=np.array([0, 99]),
