@@ -103,3 +103,22 @@ def gaussian_moment(exponents):
     factorial (e - 1)!! for even e.
     """
     return float(math.prod(0 if e % 2 else math.prod(range(e - 1, 0, -2)) for e in exponents))
+
+
+def student_t_moment(nu, k):
+    """E[x^k] for Student's t with nu degrees of freedom, in closed form.
+
+    Odd moments are 0; an even moment is
+    nu^(k/2) Gamma((k+1)/2) Gamma((nu-k)/2) / (sqrt(pi) Gamma(nu/2)).
+    Moments of order k >= nu are infinite or undefined, so they raise.
+    """
+    if k >= nu:
+        raise ValueError(f"Student-t with nu = {nu} has no finite moment of order {k}")
+    if k % 2:
+        return 0.0
+    return (
+        nu ** (k / 2)
+        * math.gamma((k + 1) / 2)
+        * math.gamma((nu - k) / 2)
+        / (math.sqrt(math.pi) * math.gamma(nu / 2))
+    )

@@ -28,7 +28,12 @@ from momcube import (
 )
 from momcube.cli import main as cli_main
 from momcube.geometry import DEFAULT_FEAS_TOL
-from oracles import enumerate_positive_cubatures, fsum_moments, gaussian_moment
+from oracles import (
+    enumerate_positive_cubatures,
+    fsum_moments,
+    gaussian_moment,
+    student_t_moment,
+)
 
 MOMENT_TOL = 1e-8
 MASS_TOL = 1e-12
@@ -332,4 +337,31 @@ class TestAcceptance:
         print(
             f"\nACCEPTANCE 11 tchakaloff-gaussian: PASS (N={num_vars}, m={degree}, "
             f"{witness.num_atoms} of {points} nodes, D={basis.dimension}, {elapsed:.2f}s)"
+        )
+
+    @pytest.mark.parametrize("half_width", [20.0, 100.0], ids=["20", "100"])
+    def test_12_tchakaloff_student_t(self, half_width):
+        # Student's t with nu = 7 has no 7th moment, the case that results
+        # needing an (m+1)st moment exclude; Tchakaloff still gives degree 6
+        # on D = 7 nodes.  Candidates: 2,001 equispaced points.
+        nu, degree = 7, 6
+        assert student_t_moment(nu, 2) == pytest.approx(nu / (nu - 2), rel=1e-14)
+        assert student_t_moment(nu, 5) == 0.0
+        with pytest.raises(ValueError):
+            student_t_moment(nu, 7)
+        grid = np.linspace(-half_width, half_width, 2001).reshape(-1, 1)
+        target = np.array([student_t_moment(nu, k) for k in range(degree + 1)])
+        moments = {(k,): float(target[k]) for k in range(degree + 1)}
+        result, witness = truncated_moment_feasible(moments, grid, 1, [1], degree)
+        assert result.status is FeasibilityStatus.FEASIBLE
+        assert witness.num_atoms == degree + 1
+        assert (witness.weights > 0).all()
+        assert set(witness.atoms[:, 0].tolist()) <= set(grid[:, 0].tolist())
+        achieved = fsum_moments(witness.atoms, witness.weights, [(k,) for k in range(degree + 1)])
+        assert np.abs(achieved - target).max() <= DEFAULT_FEAS_TOL * (
+            1.0 + np.abs(target).max()
+        )
+        print(
+            f"\nACCEPTANCE 12 tchakaloff-student-t: PASS (nu={nu}, m={degree}, "
+            f"[-{half_width:g}, {half_width:g}], {witness.num_atoms} nodes)"
         )

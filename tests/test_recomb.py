@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import momcube.measure
+import momcube.recomb
 from momcube import (
     DiscreteMeasure,
     FunctionDictionary,
@@ -15,7 +16,8 @@ from momcube import (
     reduce,
     verify_cubature,
 )
-from momcube.recomb import _eliminate, _null_basis
+from momcube.basis import embed_block
+from momcube.recomb import _eliminate, _null_basis, _SpanTracker, _sweep
 from oracles import enumerate_positive_cubatures, fsum_moments
 
 
@@ -113,6 +115,49 @@ class TestEliminationStep:
         w, j = _eliminate(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
         assert j == 0
         np.testing.assert_array_equal(w, [0.0, 0.0])
+
+    def test_matches_the_formula_with_a_closing_clamp_bit_for_bit(self):
+        # The kernel once ended with np.maximum(out, 0); the debris threshold
+        # is nonnegative and already zeroes every negative entry, so dropping
+        # the clamp must not change a single bit.  Dead atoms carry weight 0
+        # and direction entry 0, as in the kernel.
+        def clamped(w, c):
+            pos = c > 0.0
+            if not pos.any():
+                c = -c
+                pos = c > 0.0
+            ratio = np.full(c.shape[0], np.inf)
+            np.divide(w, c, out=ratio, where=pos)
+            j_star = int(np.argmin(ratio))
+            shift = ratio[j_star] * c
+            out = w - shift
+            out[out <= 32.0 * np.finfo(float).eps * (np.abs(w) + np.abs(shift))] = 0.0
+            out[j_star] = 0.0
+            np.maximum(out, 0.0, out=out)
+            return out, j_star
+
+        rng = np.random.default_rng(73)
+        for trial in range(300):
+            m = int(rng.integers(2, 60))
+            w = rng.uniform(0.0, 3.0, m) * 10.0 ** rng.integers(-3, 4)
+            c = rng.standard_normal(m)
+            dead = rng.random(m) < 0.3
+            dead[int(rng.integers(m))] = False
+            w[dead] = 0.0
+            c[dead] = 0.0
+            if trial % 3 == 0:
+                c = -np.abs(c)  # no positive entry: the direction is negated
+            # Weights whose ratios tie with the minimum up to a few hundred
+            # ulps land on both sides of the debris threshold.
+            near = (np.sign(c) == (1.0 if (c > 0.0).any() else -1.0)) & (rng.random(m) < 0.5)
+            if near.any():
+                ratio = np.min(w[near] / np.abs(c[near]))
+                ulps = rng.integers(-4, 200, int(near.sum()))
+                w[near] = ratio * np.abs(c[near]) * (1.0 + ulps * np.finfo(float).eps)
+            expected, j_expected = clamped(w.copy(), c.copy())
+            out, j_star = _eliminate(w.copy(), c.copy())
+            assert j_star == j_expected
+            assert out.tobytes() == expected.tobytes()
 
     def test_preserves_weighted_column_sums(self):
         rng = np.random.default_rng(31)
@@ -344,6 +389,91 @@ class TestSweepFactorizations:
         np.testing.assert_array_equal(again.weights, cubature.weights)
 
 
+class TestBlockedUpdate:
+    """A kernel round updates its null vectors in blocks of ``_BLOCK`` rows:
+    one at a time inside a block, and the rows after it by one solve and
+    one matrix product per block."""
+
+    def test_four_blocks_without_a_tie(self, monkeypatch):
+        # 112 generic atoms at degree 5 in three variables (D = 56): the QR
+        # basis has 56 null vectors, four blocks of 16, 16, 16 and 8.  With
+        # no tie every one of them removes exactly one atom in one round, and
+        # the closing check finds the 56 survivors independent.
+        basis = build_basis(3, [1, 1, 1], 5)
+        rng = np.random.default_rng(157)
+        cols = embed_block(basis, rng.uniform(-1.0, 1.0, (112, 3)))
+        weights = rng.uniform(0.1, 2.0, 112)
+        assert basis.dimension == 56
+        assert momcube.recomb._BLOCK == 16
+        sub, new_w, steps, factorizations = _sweep(cols, weights, True, 1.0)
+        assert steps == 56
+        assert factorizations == 2
+        # The contract: at most D distinct input atoms, positive weights, the
+        # weighted feature sums and (row 0 is the constant) the mass kept.
+        assert sub.shape[0] == 56
+        assert np.unique(sub).shape[0] == sub.shape[0]
+        assert (new_w > 0.0).all()
+        target = cols @ weights
+        assert (np.abs(cols[:, sub] @ new_w - target) <= 1e-12 * (1.0 + np.abs(target))).all()
+        mass = math.fsum(weights.tolist())
+        assert abs(math.fsum(new_w.tolist()) - mass) <= 1e-12 * mass
+        again = _sweep(cols, weights, True, 1.0)
+        np.testing.assert_array_equal(again[0], sub)
+        assert again[1].tobytes() == new_w.tobytes()
+        # The one-at-a-time update (a single block) keeps the same atoms.
+        monkeypatch.setattr(momcube.recomb, "_BLOCK", 56)
+        single = _sweep(cols, weights, True, 1.0)
+        np.testing.assert_array_equal(single[0], sub)
+        np.testing.assert_allclose(single[1], new_w, rtol=1e-10)
+
+    def test_tie_after_the_first_block_refactorizes(self, monkeypatch):
+        # Feature i (D = 20) is +1 on atoms i and 2D + i, -1 on atoms D + i
+        # and 3D + i, and 0 elsewhere.  The complete QR's reflectors then act
+        # on one group of four atoms each, so the first D null vectors are,
+        # in order, (1/2, 5/6, 1/6, -1/6) on groups 0, 1, ...: exact zeros
+        # elsewhere, and the rest of each group's basis comes after them.
+        # With weights (3, 1, 2, 1) the 5/6 entry alone has the least ratio;
+        # group 16's weights (3, 6, 1, 0.5) give the 1/2 and 1/6 entries the
+        # same ratio.  So 16 steps fill the first block, its delayed update
+        # reaches the rows after it, and step 17 zeroes two weights: the
+        # round ends and the next takes a new basis of the 62 survivors.
+        dim = 20
+        eye = np.eye(dim)
+        cols = np.hstack([eye, -eye, eye, -eye])
+        weights = np.repeat([3.0, 1.0, 2.0, 1.0], dim)
+        weights[16::dim] = [3.0, 6.0, 1.0, 0.5]
+        rounds = []  # per null basis: live columns, eliminations, atoms removed
+        null_basis, eliminate = momcube.recomb._null_basis, momcube.recomb._eliminate
+
+        def logged_null_basis(live, tol_factor):
+            rounds.append([live.shape[1], 0, 0])
+            return null_basis(live, tol_factor)
+
+        def logged_eliminate(w, c):
+            out, j_star = eliminate(w, c)
+            rounds[-1][1] += 1
+            rounds[-1][2] += int(np.count_nonzero(w > 0.0) - np.count_nonzero(out > 0.0))
+            return out, j_star
+
+        monkeypatch.setattr(momcube.recomb, "_null_basis", logged_null_basis)
+        monkeypatch.setattr(momcube.recomb, "_eliminate", logged_eliminate)
+        sub, new_w, steps, factorizations = _sweep(cols, weights, False, 1.0)
+        assert momcube.recomb._BLOCK == 16
+        assert rounds[0] == [80, 17, 18]
+        assert rounds[1][0] == 62
+        assert steps == sum(r[1] for r in rounds) == 59
+        assert factorizations >= 3
+        # The contract: at most D distinct input atoms, positive weights,
+        # every weighted feature sum kept, identical reruns.
+        assert sub.shape[0] <= dim
+        assert np.unique(sub).shape[0] == sub.shape[0]
+        assert (new_w > 0.0).all()
+        np.testing.assert_allclose(cols[:, sub] @ new_w, cols @ weights, rtol=0, atol=1e-14)
+        again = _sweep(cols, weights, False, 1.0)
+        np.testing.assert_array_equal(again[0], sub)
+        assert again[1].tobytes() == new_w.tobytes()
+
+
 def _on_line(n, offset):
     xs = offset + np.linspace(0.0, 1.0, n)
     return np.column_stack([xs, 2.0 * xs + 1.0])
@@ -372,14 +502,43 @@ class TestDetectedRank:
         (np.repeat(np.linspace(-3.0, 3.0, 7), 40).reshape(-1, 1), 9, 7),
         # Generic points span every monomial: D = C(4 + 5, 4).
         (np.random.default_rng(5).uniform(-1.0, 1.0, (3000, 4)), 5, 126),
+        # Full rank on the first 2D = 56 columns: the tracker's values-only
+        # path, which forms no singular vector.
+        (np.random.default_rng(7).uniform(-1.0, 1.0, (500, 2)), 6, 28),
     ], ids=["line-deg3", "circle-deg2", "circle-deg4", "offset-line-deg2",
-            "repeated-points-deg9", "cube4-deg5"])
+            "repeated-points-deg9", "cube4-deg5", "square2-deg6"])
     def test_closed_form_rank(self, atoms, degree, rank):
         num_vars = atoms.shape[1]
         measure = DiscreteMeasure(atoms, np.ones(atoms.shape[0]))
         cubature, report = cubature_of_degree(measure, num_vars, [1] * num_vars, degree)
         assert report.detected_rank == rank
         assert cubature.num_nodes <= rank
+
+
+    def test_full_rank_first_slice_forms_no_singular_vectors(self):
+        basis = build_basis(2, [1, 1], 6)
+        cols = embed_block(basis, np.random.default_rng(7).uniform(-1.0, 1.0, (56, 2)))
+        tracker = _SpanTracker(basis.dimension)
+        tracker.add(cols)
+        assert tracker.rank == 28
+        assert tracker.b.shape == (28, 0)
+        tracker.add(cols[:, :5])
+        assert tracker.rank == 28
+
+    def test_rank_deficient_first_slice_keeps_a_scaled_basis(self):
+        # 30 points on the unit circle at degree 4 span 9 of the D = 15
+        # monomials: the first slice takes the SVD with singular vectors,
+        # and the kept basis reproduces the slice's Gram matrix.
+        basis = build_basis(2, [1, 1], 4)
+        cols = embed_block(basis, _on_circle(30))
+        tracker = _SpanTracker(basis.dimension)
+        tracker.add(cols)
+        assert tracker.rank == 9
+        assert tracker.b.shape == (15, 9)
+        np.testing.assert_allclose(tracker.b @ tracker.b.T, cols @ cols.T, atol=1e-12)
+        generic = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 2))
+        tracker.add(embed_block(basis, generic))
+        assert tracker.rank == 15
 
 
 class TestReduceStreaming:
