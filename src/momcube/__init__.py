@@ -15,7 +15,6 @@ from .basis import (
     basis_from_config,
     build_basis,
     embed_block,
-    evaluate_embedding,
 )
 from .geometry import (
     FeasibilityResult,
@@ -31,7 +30,6 @@ from .measure import (
     DiscreteMeasure,
     FunctionDictionary,
     MeasureFormatError,
-    feature_matrix,
     load_measure,
     moment_vector,
 )
@@ -64,8 +62,6 @@ __all__ = [
     "cone_membership",
     "cubature_of_degree",
     "embed_block",
-    "evaluate_embedding",
-    "feature_matrix",
     "hull_membership",
     "load_measure",
     "load_moment_file",

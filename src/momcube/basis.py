@@ -194,15 +194,3 @@ def embed_block(basis: MonomialBasis, points) -> np.ndarray:
     for j, (parent, coord) in enumerate(basis._recurrence, start=1):
         np.multiply(values[parent], coords[coord], out=values[j])
     return values
-
-
-def evaluate_embedding(basis: MonomialBasis, point) -> np.ndarray:
-    """Embedding of a single point: vector of all basis monomials at it."""
-    pt = np.asarray(point, dtype=float)
-    if pt.ndim == 0 and basis.num_vars == 1:
-        pt = pt.reshape(1)
-    if pt.ndim != 1 or pt.shape[0] != basis.num_vars:
-        raise BasisError(
-            f"expected a point with {basis.num_vars} coordinates, got shape {pt.shape}"
-        )
-    return embed_block(basis, pt.reshape(1, -1))[:, 0]

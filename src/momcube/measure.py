@@ -1,10 +1,13 @@
-"""Discrete positive measures: file ingestion, feature matrices, moments.
+"""Discrete positive measures: file ingestion, feature blocks, moments.
 
 A measure is M atoms in R^N with strictly positive weights.  Features are
 either a MonomialBasis or an arbitrary FunctionDictionary (a deterministic
 point-to-vector map), which covers reduction against push-forward feature
-systems.  Moment accumulation uses chunked Neumaier (compensated) summation
-so that exactness tests survive atom counts in the millions.
+systems.  Moments are accumulated over fixed blocks of 4,096 atoms in index
+order: each block's feature columns are weighted in place and summed, and
+the block sums go through a Neumaier (compensated) update, so exactness
+tests survive atom counts in the millions, reruns are bit-identical, and a
+pass holds one D x 4,096 block at a time whatever the atom count.
 
 CSV ingest has two paths over the same text.  ``_parse_csv`` reads line by
 line and is the definition of the format: every rule and every
@@ -30,7 +33,12 @@ import numpy as np
 
 from .basis import MonomialBasis, embed_block
 
+# Atoms per tree chunk in ``recomb.reduce``; it fixes the chunks, and so
+# the node sets, of a reduction.
 _CHUNK = 65536
+# Atoms per block in ``moment_vector``: small enough that a D x block
+# stays in cache, large enough to amortise the per-block calls.
+_MOMENT_BLOCK = 4096
 
 
 class MeasureFormatError(ValueError):
@@ -343,17 +351,6 @@ def _feature_block(features: Features, pts: np.ndarray, offset: int = 0) -> np.n
     return _dictionary_block(features, pts, offset)
 
 
-def feature_matrix(measure: DiscreteMeasure, features: Features) -> np.ndarray:
-    """(D, M) matrix whose column a is the feature vector of atom a."""
-    d = feature_count(features)
-    m = measure.num_atoms
-    out = np.empty((d, m))
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
-        out[:, start:stop] = _feature_block(features, measure.atoms[start:stop], start)
-    return out
-
-
 def _compensated_accumulate(total, comp, partial):
     """One Neumaier update of running sums ``total`` with compensation ``comp``."""
     fresh = total + partial
@@ -366,18 +363,24 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
     """Weighted feature sums over all atoms, compensated per feature.
 
     Entry j is sum_a w_a * phi_j(x_a), returned as a read-only float64
-    array of length D.  Atoms are processed in fixed-size chunks in index
-    order, so results are bit-stable across runs.
+    array of length D.  Atoms are taken in blocks of 4,096 in index order;
+    each block's D x 4,096 feature columns are weighted in place, summed
+    per feature, and dropped before the next block is built, so a pass
+    needs O(D * 4,096) extra memory and reruns are bit-identical.  The
+    block sums are combined by a Neumaier update.
     """
     d = feature_count(features)
     m = measure.num_atoms
     total = np.zeros(d)
     comp = np.zeros(d)
-    for start in range(0, m, _CHUNK):
-        stop = min(start + _CHUNK, m)
+    for start in range(0, m, _MOMENT_BLOCK):
+        stop = min(start + _MOMENT_BLOCK, m)
+        # A fresh array for both feature kinds, so weighting it in place
+        # touches nothing shared.
         block = _feature_block(features, measure.atoms[start:stop], start)
-        partial = (block * measure.weights[start:stop]).sum(axis=1)
-        total, comp = _compensated_accumulate(total, comp, partial)
+        block *= measure.weights[start:stop]
+        total, comp = _compensated_accumulate(total, comp, block.sum(axis=1))
+        del block  # freed before the next block is built
     values = total + comp
     values.setflags(write=False)
     return values

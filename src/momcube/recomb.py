@@ -196,15 +196,22 @@ def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
 def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     """Shift mass along a null direction until one weight hits exactly zero.
 
-    Picks t* = min over {j: c_j > 0} of w_j / c_j (smallest index on ties)
-    and returns (w - t* c, index of the zeroed entry).  A direction with no
-    positive entry is negated first, so t* is always defined; the result is
-    nonnegative and the weighted column sum is unchanged in exact arithmetic.
+    ``c`` has unit max-norm, as ``_sweep`` scales it.  Picks t* = min over
+    {j: c_j > n * eps} of w_j / c_j (smallest index on ties) and returns
+    (w - t* c, index of the zeroed entry).  The floor n * eps is the
+    direction's rounding level: an entry below it may be zero in exact
+    arithmetic, and pivoting on it would scale the later null vectors'
+    updates by its inverse.  Only a weight far below the others' (weights
+    spanning hundreds of decades) has its smallest ratio at such an entry.
+    A direction with no entry above the floor is negated first, so t* is
+    always defined; the result is nonnegative and the weighted column sum
+    is unchanged in exact arithmetic.
     """
-    pos = c > 0.0
+    floor = c.shape[0] * _EPS
+    pos = c > floor
     if not pos.any():
         c = -c
-        pos = c > 0.0
+        pos = c > floor
     ratio = np.full(c.shape[0], np.inf)
     np.divide(w, c, out=ratio, where=pos)
     j_star = int(np.argmin(ratio))
@@ -257,6 +264,10 @@ class _SpanTracker:
         self.b = u[:, :self.rank] * s[:self.rank]
 
 
+# Above about 1e292 a weight over a direction entry (at least n * eps, see
+# ``_eliminate``) can overflow to inf, which only takes that atom out of the
+# minimum ratio; nothing else in a round overflows on finite input.
+@np.errstate(over="ignore")
 def _sweep(
     cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float
 ):
@@ -372,11 +383,13 @@ def _tree(
     steps, factorizations, tree levels); on return the survivors' columns
     are the first columns of ``cols``, in the order of the positions.  Each
     level reduces the 2D contiguous groups' weighted means with ``_sweep``
-    and keeps the atoms of surviving groups, rescaled by new group mass
-    over old.  The live atoms' columns are then moved to the front of
-    ``cols`` in place, one kept group at a time, so no copy is wider than a
-    group and every group mean is a mat-vec on a view; atoms of a kept
-    group whose weight underflows to 0 are dropped too.  At most 2D atoms
+    and keeps the atoms of surviving groups, each at its share of the old
+    group mass times the new one: shares lie in [0, 1], so weights may span
+    the float range, subnormals included.  The live atoms' columns are then
+    moved to the front of ``cols`` in place, one kept group at a time, so
+    no copy is wider than a group and every group mean is a mat-vec on a
+    view; atoms of a kept group whose weight underflows to 0 are dropped
+    too.  At most 2D atoms
     go to ``_sweep`` as the base case.  A level whose group means cancel,
     so that no group can be removed, returns its atoms and weights
     unreduced.
@@ -389,21 +402,25 @@ def _tree(
     steps = factorizations = levels = 0
     while n > groups:
         bounds = (np.arange(groups + 1) * n) // groups
+        group_sizes = np.diff(bounds)
         mass = np.add.reduceat(w, bounds[:-1])
+        # Each atom's share of its group's mass lies in [0, 1], whatever the
+        # weights' scale, so means and new weights never divide by a
+        # subnormal mass.
+        share = w / np.repeat(mass, group_sizes)
         means = np.empty((dim, groups))
         for g in range(groups):
             lo, hi = bounds[g], bounds[g + 1]
-            means[:, g] = cols[:, lo:hi] @ w[lo:hi]
-        means /= mass
+            means[:, g] = cols[:, lo:hi] @ share[lo:hi]
         kept, new_mass, s, f = _sweep(means, mass, project_constant, tol_factor)
         steps += s
         factorizations += f
         if kept.shape[0] == groups:
             return pos, w, steps, factorizations, levels
         levels += 1
-        factor = np.zeros(groups)
-        factor[kept] = new_mass / mass[kept]
-        w = w * np.repeat(factor, np.diff(bounds))
+        group_mass = np.zeros(groups)
+        group_mass[kept] = new_mass
+        w = share * np.repeat(group_mass, group_sizes)
         live = w > 0.0
         # Kept groups in increasing order, so no column is overwritten unread.
         sizes = np.add.reduceat(live, bounds[:-1], dtype=np.intp)[kept]
@@ -538,7 +555,8 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         tree_levels=levels,
         rank_tol_factor=tol_factor,
         factorizations=factorizations,
-        weight_ratio=float(w.max() / w.min()),
+        # Python floats: a ratio beyond the float range is inf, not a warning.
+        weight_ratio=float(w.max()) / float(w.min()),
         node_condition=float(svals[0] / svals[-1]) if svals[-1] > 0.0 else math.inf,
         chunks=chunks,
     )

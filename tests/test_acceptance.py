@@ -19,7 +19,6 @@ from momcube import (
     cone_membership,
     cubature_of_degree,
     embed_block,
-    feature_matrix,
     hull_membership,
     moment_vector,
     reduce,
@@ -210,7 +209,7 @@ class TestAcceptance:
             measure = DiscreteMeasure(
                 rng.uniform(-3, 3, (count, n)), rng.uniform(0.1, 2.0, count)
             )
-            columns = feature_matrix(measure, basis)
+            columns = embed_block(basis, measure.atoms)
             target = moment_vector(measure, basis)
             result = cone_membership(target, columns)
             assert result.status is FeasibilityStatus.FEASIBLE

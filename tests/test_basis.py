@@ -11,7 +11,6 @@ from momcube import (
     basis_from_config,
     build_basis,
     embed_block,
-    evaluate_embedding,
 )
 from oracles import enumerate_multi_indices, naive_embedding
 
@@ -105,21 +104,24 @@ class TestBuildBasis:
 
 
 class TestEvaluateEmbedding:
+    """One point's embedding: a one-column ``embed_block``, checked against
+    the ``naive_embedding`` oracle."""
+
     def test_at_origin_only_constant_survives(self):
         basis = build_basis(1, [1], 3)
         np.testing.assert_array_equal(
-            evaluate_embedding(basis, [0.0]), [1.0, 0.0, 0.0, 0.0]
+            embed_block(basis, [0.0])[:, 0], [1.0, 0.0, 0.0, 0.0]
         )
 
     def test_powers_of_two(self):
         basis = build_basis(1, [1], 4)
         np.testing.assert_allclose(
-            evaluate_embedding(basis, [2.0]), [1.0, 2.0, 4.0, 8.0, 16.0], rtol=0
+            embed_block(basis, [2.0])[:, 0], [1.0, 2.0, 4.0, 8.0, 16.0], rtol=0
         )
 
     def test_weighted_bivariate_values(self):
         basis = build_basis(2, [1, 2], 3)
-        values = evaluate_embedding(basis, [2.0, 3.0])
+        values = embed_block(basis, [2.0, 3.0])[:, 0]
         np.testing.assert_allclose(values, naive_embedding(basis.indices, [2.0, 3.0]), rtol=0)
         assert sorted(values.tolist()) == [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
 
@@ -128,11 +130,11 @@ class TestEvaluateEmbedding:
         for n, weights, m in [(1, [1], 12), (2, [1, 1], 8), (3, [1, 2, 1], 7), (4, [1, 1, 1, 1], 5)]:
             basis = build_basis(n, weights, m)
             assert basis.dimension <= 500
-            for _ in range(5):
-                point = rng.uniform(-10, 10, size=n)
-                got = evaluate_embedding(basis, point)
+            points = rng.uniform(-10, 10, size=(5, n))
+            block = embed_block(basis, points)
+            for a, point in enumerate(points):
                 want = naive_embedding(basis.indices, point)
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(block[:, a], want, rtol=1e-14, atol=0)
 
     def test_block_matches_single_point(self):
         basis = build_basis(3, [1, 2, 1], 4)
@@ -141,15 +143,18 @@ class TestEvaluateEmbedding:
         block = embed_block(basis, pts)
         assert block.shape == (basis.dimension, 17)
         for a in range(17):
-            np.testing.assert_array_equal(block[:, a], evaluate_embedding(basis, pts[a]))
+            np.testing.assert_array_equal(block[:, a], embed_block(basis, pts[a])[:, 0])
+            np.testing.assert_allclose(
+                block[:, a], naive_embedding(basis.indices, pts[a]), rtol=1e-14, atol=0
+            )
 
     @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf]])
     def test_rejects_non_finite(self, bad):
         basis = build_basis(1, [1], 2)
         with pytest.raises(BasisError):
-            evaluate_embedding(basis, bad)
+            embed_block(basis, bad)
 
     def test_rejects_wrong_length(self):
         basis = build_basis(2, [1, 1], 2)
         with pytest.raises(BasisError):
-            evaluate_embedding(basis, [1.0])
+            embed_block(basis, [1.0])

@@ -12,7 +12,6 @@ from momcube import (
     build_basis,
     cone_membership,
     embed_block,
-    feature_matrix,
     hull_membership,
     load_moment_file,
     moment_vector,
@@ -46,7 +45,7 @@ class TestConeMembership:
         rng = np.random.default_rng(71)
         measure = DiscreteMeasure(rng.uniform(-2, 2, (12, 2)), rng.uniform(0.5, 2, 12))
         basis = build_basis(2, [1, 1], 2)
-        columns = feature_matrix(measure, basis)
+        columns = embed_block(basis, measure.atoms)
         target = moment_vector(measure, basis)
         result = cone_membership(target, columns)
         assert result.status is FeasibilityStatus.FEASIBLE
@@ -142,7 +141,7 @@ class TestConeMembership:
         rng = np.random.default_rng(101)
         basis = build_basis(2, [1, 1], 2)
         measure = DiscreteMeasure(rng.uniform(-2, 2, (25, 2)), rng.uniform(0.1, 1, 25))
-        columns = feature_matrix(measure, basis)
+        columns = embed_block(basis, measure.atoms)
         target = moment_vector(measure, basis)
         result = cone_membership(target, columns)
         assert result.status is FeasibilityStatus.FEASIBLE

@@ -1,6 +1,7 @@
-"""Tests for measure ingestion, feature matrices, and moment vectors."""
+"""Tests for measure ingestion, feature blocks, and moment vectors."""
 
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,13 +14,12 @@ from momcube import (
     FunctionDictionary,
     MeasureFormatError,
     build_basis,
-    evaluate_embedding,
-    feature_matrix,
+    embed_block,
     load_measure,
     moment_vector,
 )
 from momcube import measure
-from oracles import fsum_moments
+from oracles import fsum_moments, naive_embedding
 
 
 def _csv(text):
@@ -316,16 +316,19 @@ class TestDiscreteMeasure:
 
 
 class TestFeatureMatrix:
+    """Feature columns: ``embed_block`` for a monomial basis, and a
+    dictionary's checks as ``moment_vector`` meets them."""
+
     def test_two_atom_basis_columns(self):
         measure = DiscreteMeasure(np.array([[-1.0], [1.0]]), np.ones(2))
         basis = build_basis(1, [1], 2)
-        cols = feature_matrix(measure, basis)
+        cols = embed_block(basis, measure.atoms)
         np.testing.assert_array_equal(cols, [[1.0, 1.0], [-1.0, 1.0], [1.0, 1.0]])
 
     def test_origin_column_is_unit_vector(self):
         measure = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
         basis = build_basis(2, [1, 1], 3)
-        cols = feature_matrix(measure, basis)
+        cols = embed_block(basis, measure.atoms)
         expected = np.zeros((basis.dimension, 1))
         expected[0, 0] = 1.0
         np.testing.assert_array_equal(cols, expected)
@@ -333,15 +336,22 @@ class TestFeatureMatrix:
     def test_constant_dictionary_gives_row_of_ones(self):
         measure = DiscreteMeasure(np.arange(4.0).reshape(-1, 1), np.ones(4))
         features = FunctionDictionary(1, lambda x: np.array([1.0]))
-        np.testing.assert_array_equal(feature_matrix(measure, features), np.ones((1, 4)))
+        np.testing.assert_array_equal(moment_vector(measure, features), [4.0])
 
     def test_columns_match_embedding_bitwise(self):
+        # A one-atom measure of unit weight has the atom's column as its
+        # moment vector, bit for bit.
         rng = np.random.default_rng(5)
         measure = DiscreteMeasure(rng.uniform(-3, 3, (23, 2)), rng.uniform(0.5, 2, 23))
         basis = build_basis(2, [1, 2], 4)
-        cols = feature_matrix(measure, basis)
+        cols = embed_block(basis, measure.atoms)
         for a in range(measure.num_atoms):
-            np.testing.assert_array_equal(cols[:, a], evaluate_embedding(basis, measure.atoms[a]))
+            np.testing.assert_array_equal(
+                cols[:, a], moment_vector(DiscreteMeasure(measure.atoms[a], [1.0]), basis)
+            )
+            np.testing.assert_allclose(
+                cols[:, a], naive_embedding(basis.indices, measure.atoms[a]), rtol=1e-14, atol=0
+            )
 
     def test_dictionary_failure_carries_atom_index(self):
         def flaky(x):
@@ -351,12 +361,30 @@ class TestFeatureMatrix:
 
         measure = DiscreteMeasure(np.arange(5.0).reshape(-1, 1), np.ones(5))
         with pytest.raises(ValueError, match="atom 3"):
-            feature_matrix(measure, FunctionDictionary(1, flaky))
+            moment_vector(measure, FunctionDictionary(1, flaky))
+
+    def test_dictionary_failure_past_the_first_block_names_the_global_index(self):
+        def flaky(x):
+            if x[0] == 5000.0:
+                raise RuntimeError("boom")
+            return np.array([1.0])
+
+        measure = DiscreteMeasure(np.arange(6000.0).reshape(-1, 1), np.ones(6000))
+        with pytest.raises(ValueError, match="atom 5000:"):
+            moment_vector(measure, FunctionDictionary(1, flaky))
+
+    def test_dictionary_non_finite_value_past_the_first_block_names_the_global_index(self):
+        def spiky(x):
+            return np.array([np.inf if x[0] == 4100.0 else 1.0])
+
+        measure = DiscreteMeasure(np.arange(4200.0).reshape(-1, 1), np.ones(4200))
+        with pytest.raises(ValueError, match="non-finite value at atom 4100$"):
+            moment_vector(measure, FunctionDictionary(1, spiky))
 
     def test_dictionary_wrong_size_rejected(self):
         measure = DiscreteMeasure(np.ones((1, 1)), np.ones(1))
         with pytest.raises(ValueError, match="expected 2"):
-            feature_matrix(measure, FunctionDictionary(2, lambda x: np.array([1.0])))
+            moment_vector(measure, FunctionDictionary(2, lambda x: np.array([1.0])))
 
 
 class TestMomentVector:
@@ -416,3 +444,37 @@ class TestMomentVector:
         features = FunctionDictionary(2, lambda x: np.array([np.sin(x[0]), np.cos(x[0])]))
         values = moment_vector(measure, features)
         np.testing.assert_allclose(values, [3.0, 2.0], atol=1e-15)
+
+    @pytest.mark.parametrize("num_atoms", [4095, 4096, 4097, 3 * 4096 + 5])
+    def test_block_boundaries_match_fsum(self, num_atoms):
+        assert measure._MOMENT_BLOCK == 4096
+        rng = np.random.default_rng(num_atoms)
+        atoms = rng.uniform(0.5, 2.0, (num_atoms, 2))
+        weights = rng.uniform(0.1, 2.0, num_atoms)
+        basis = build_basis(2, [1, 1], 3)
+        got = moment_vector(DiscreteMeasure(atoms, weights), basis)
+        want = fsum_moments(atoms, weights, basis.indices)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        if num_atoms <= 4096:
+            # One block: the plain weighted column sum, bit for bit.
+            cols = embed_block(basis, atoms)
+            np.testing.assert_array_equal(got, (cols * weights).sum(axis=1))
+
+    def test_traced_peak_does_not_grow_with_the_atom_count(self):
+        # D = 20: one 20 x 4,096 block is 640 KiB.  The measure is built
+        # before tracing starts, so the peak is moment_vector's own.
+        basis = build_basis(3, [1, 1, 1], 3)
+        assert basis.dimension == 20
+        rng = np.random.default_rng(23)
+        peaks = []
+        for num_atoms in (20_000, 200_000):
+            m = DiscreteMeasure(rng.uniform(-1, 1, (num_atoms, 3)), rng.uniform(0.1, 2, num_atoms))
+            tracemalloc.start()
+            try:
+                moment_vector(m, basis)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        small, large = peaks
+        assert abs(large - small) <= 0.1 * small, peaks
+        assert large < 2 * 2**20, peaks

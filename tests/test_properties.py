@@ -3,7 +3,9 @@
 Hypothesis runs derandomized with no deadline, so every run draws the same
 examples.  It draws the shape of a measure (size, scale, offset, duplicate
 or collinear structure) and a seed; the atoms themselves come from that
-seeded generator, so they are generic within their structure.
+seeded generator, so they are generic within their structure.  Two more
+properties vary the weights alone: scaling them by a power of two, and
+weights from 1e-320 to 1e300.
 """
 
 import math
@@ -54,6 +56,16 @@ def measures_and_bases(draw):
 @given(measures_and_bases())
 def test_reduce_meets_the_cubature_contract(case):
     measure, basis = case
+    report = _assert_contract(measure, basis)
+    if measure.num_atoms <= 2 * basis.dimension:
+        assert report.tree_levels == 0
+    else:
+        assert report.tree_levels >= 1
+    assert report.elimination_steps <= measure.num_atoms - report.final_atoms
+
+
+def _assert_contract(measure, basis):
+    """The five-part contract for ``reduce``; returns its report."""
     cubature, report = reduce(measure, basis)
 
     assert 1 <= cubature.num_nodes <= basis.dimension
@@ -64,12 +76,31 @@ def test_reduce_meets_the_cubature_contract(case):
     mass = measure.total_mass
     assert abs(math.fsum(cubature.weights.tolist()) - mass) <= MASS_TOL * mass
 
-    if measure.num_atoms <= 2 * basis.dimension:
-        assert report.tree_levels == 0
-    else:
-        assert report.tree_levels >= 1
-    assert report.elimination_steps <= measure.num_atoms - cubature.num_nodes
-
     again, _ = reduce(measure, basis)
     np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
     np.testing.assert_array_equal(again.weights, cubature.weights)
+    return report
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(measures_and_bases(), st.integers(-900, 900))
+def test_scaling_weights_by_a_power_of_two_scales_the_cubature_exactly(case, k):
+    measure, basis = case
+    scale = math.ldexp(1.0, k)
+    cubature, _ = reduce(measure, basis)
+    scaled, _ = reduce(DiscreteMeasure(measure.atoms, measure.weights * scale), basis)
+    np.testing.assert_array_equal(scaled.node_indices, cubature.node_indices)
+    np.testing.assert_array_equal(scaled.weights, cubature.weights * scale)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(measures_and_bases(), st.integers(0, 2**32 - 1))
+def test_weights_from_subnormal_to_huge_meet_the_contract(case, seed):
+    measure, basis = case
+    # Atoms in [-1, 1]^N keep every moment below 3000 * 1e300.
+    atoms = measure.atoms / max(1.0, np.abs(measure.atoms).max())
+    rng = np.random.default_rng(seed)
+    weights = 10.0 ** rng.uniform(-320.0, 300.0, measure.num_atoms)
+    weights[0] = 1e-320
+    weights[-1] = 1e300
+    _assert_contract(DiscreteMeasure(atoms, weights), basis)
