@@ -205,9 +205,11 @@ def _make_out_dir(out_dir: str):
 
 
 def _write_json(out_dir: str, name: str, payload: dict) -> Path:
+    """Write strict JSON: the reports write a float that is not finite as
+    null, and allow_nan=False refuses any that is left."""
     path = Path(out_dir) / name
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
     return path
 
@@ -240,7 +242,10 @@ def cmd_reduce(cfg: argparse.Namespace) -> int:
 def cmd_moments(cfg: argparse.Namespace) -> int:
     measure = _load_input_measure(cfg)
     basis = _require_basis(cfg, measure)
-    moments = moment_vector(measure, basis)
+    try:
+        moments = moment_vector(measure, basis)
+    except ValueError as exc:
+        raise CliError(f"{cfg.input}: {exc}") from exc
     path = _write_json(cfg.out_dir, "moments.json", moments_to_dict(basis, moments))
     print(
         f"moments: {measure.num_atoms} atoms, dimension {basis.dimension}, wrote {path}"
@@ -339,7 +344,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         )
     try:
         verification = verify_cubature(measure, cubature, basis)
-    except IndexError as exc:
+    except (IndexError, ValueError) as exc:
         raise CliError(str(exc)) from exc
     passed = verification.passes(cfg.tol, cfg.mass_tol)
     _write_json(cfg.out_dir, "verification_report.json", verification.to_dict())

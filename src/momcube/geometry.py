@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import MonomialBasis, MultiIndex, basis_from_config, build_basis, embed_block
-from .measure import DiscreteMeasure, _is_json_number
+from .measure import DiscreteMeasure, _finite_or_none, _is_json_number
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
@@ -115,8 +115,8 @@ class FeasibilityResult:
             "certificate": None if self.certificate is None else self.certificate.to_dict(),
             "iterations": self.iterations,
             "reason": self.reason,
-            "residual": self.residual,
-            "margin": self.margin,
+            "residual": _finite_or_none(self.residual),
+            "margin": _finite_or_none(self.margin),
         }
 
 

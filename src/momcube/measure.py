@@ -33,12 +33,11 @@ import numpy as np
 
 from .basis import MonomialBasis, embed_block
 
-# Atoms per tree chunk in ``recomb.reduce``; it fixes the chunks, and so
-# the node sets, of a reduction.
-_CHUNK = 65536
-# Atoms per block in ``moment_vector``: small enough that a D x block
-# stays in cache, large enough to amortise the per-block calls.
-_MOMENT_BLOCK = 4096
+# Atoms per block of feature columns, in ``moment_vector`` and in each level
+# of ``recomb._tree``: small enough that a D x block stays in cache, large
+# enough to amortise the per-block calls.  It fixes the summation order, and
+# so the node sets, of a reduction.
+_ATOM_BLOCK = 4096
 
 
 class MeasureFormatError(ValueError):
@@ -163,6 +162,12 @@ def _json_float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    """The value, or None (JSON null) for inf and nan, which strict JSON
+    cannot write."""
+    return value if value is not None and math.isfinite(value) else None
 
 
 def _parse_csv(text_file, num_vars):
@@ -368,19 +373,33 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
     per feature, and dropped before the next block is built, so a pass
     needs O(D * 4,096) extra memory and reruns are bit-identical.  The
     block sums are combined by a Neumaier update.
+
+    Raises ValueError naming the first moment that is not finite, that is,
+    whose sum overflows the float range: no cubature can be checked
+    against it.
     """
     d = feature_count(features)
     m = measure.num_atoms
     total = np.zeros(d)
     comp = np.zeros(d)
-    for start in range(0, m, _MOMENT_BLOCK):
-        stop = min(start + _MOMENT_BLOCK, m)
-        # A fresh array for both feature kinds, so weighting it in place
-        # touches nothing shared.
-        block = _feature_block(features, measure.atoms[start:stop], start)
-        block *= measure.weights[start:stop]
-        total, comp = _compensated_accumulate(total, comp, block.sum(axis=1))
-        del block  # freed before the next block is built
-    values = total + comp
+    # Overflow shows as inf (or inf - inf = nan) in the result, checked below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, _ATOM_BLOCK):
+            stop = min(start + _ATOM_BLOCK, m)
+            # A fresh array for both feature kinds, so weighting it in place
+            # touches nothing shared.
+            block = _feature_block(features, measure.atoms[start:stop], start)
+            block *= measure.weights[start:stop]
+            total, comp = _compensated_accumulate(total, comp, block.sum(axis=1))
+            del block  # freed before the next block is built
+        values = total + comp
+    bad = ~np.isfinite(values)
+    if bad.any():
+        j = int(bad.argmax())
+        if isinstance(features, MonomialBasis):
+            name = f'moment "{",".join(map(str, features.indices[j]))}"'
+        else:
+            name = f"moment {j}"
+        raise ValueError(f"{name} of the measure overflows the float range")
     values.setflags(write=False)
     return values

@@ -13,25 +13,23 @@ feature sums are invariant under every step, so the survivors form a
 cubature formula: at most D nodes drawn from the original atoms, strictly
 positive weights, and the same moments as the input measure.
 
-The engine has three layers, all working on in-memory D x n column
-matrices:
+The engine has three layers:
 
-* ``reduce`` takes the atoms in contiguous chunks of 65,536, builds each
-  chunk's feature columns, carries the previous chunks' survivors into
-  the next chunk, and assembles the output in original coordinates.
-  Memory beyond the measure itself is O(D * 65,536).
+* ``reduce`` checks the input, computes its moments, runs one tree over
+  all atoms and assembles the output in original coordinates.
 * ``_tree`` runs tree recombination (Litterer & Lyons 2012; Maalouf,
-  Jubran & Feldman 2019) on one column matrix rather than one elimination
-  per atom: each level splits the current atoms into 2D contiguous
-  groups, reduces the D x 2D weighted group means, rescales the atom
-  weights of the at most D surviving groups and drops the rest, so every
-  level costs one small reduction and roughly halves the atoms.  The
-  surviving atoms' columns are moved to the front of the matrix in place,
-  so group means are mat-vecs on contiguous views.
+  Jubran & Feldman 2019) rather than one elimination per atom: each level
+  splits the live atoms into 2D contiguous groups, reduces the D x 2D
+  weighted group means, rescales the atom weights of the at most D
+  surviving groups and drops the rest, so every level costs one small
+  reduction and roughly halves the atoms.  Between levels it keeps only
+  the live atoms' indices and weights; each level builds their feature
+  columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
+  plus a few n-length arrays, whatever the atom count.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
-  applied to at most 2D columns at a time: a level's group means or the
-  base case.
+  applied to a D x n column matrix of at most 2D columns: a level's group
+  means or the base case.
 
 Every factorization is a ``numpy.linalg.qr`` (LAPACK ``geqrf``) or a
 ``numpy.linalg.svd`` (LAPACK ``gesdd``).  Above D columns the kernel's null
@@ -39,8 +37,8 @@ basis comes from a complete QR, which needs no rank decision.  Every rank
 decision counts singular values above a tolerance: the kernel's null basis
 on at most D columns and its closing full-rank check, and the detected rank
 of the input's feature columns, which takes singular vectors only when the
-first 2D columns have rank below D.  Grouping is fixed and no step is
-random, so reruns are identical.
+first 2D columns have rank below D.  Grouping and blocks are fixed and no
+step is random, so reruns are identical.
 
 The public entry points are ``reduce`` and ``cubature_of_degree``.  The
 kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
@@ -54,12 +52,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import measure as _measure
 from .basis import MonomialBasis, build_basis
 from .measure import (
+    _ATOM_BLOCK,
     DiscreteMeasure,
     Features,
     _feature_block,
+    _finite_or_none,
     feature_count,
     moment_vector,
 )
@@ -144,11 +143,11 @@ class ReductionReport:
     removed groups, and ``rank_tol_factor`` is the factor by which the
     internal rescale loosened every rank decision (1 for dictionaries,
     which are not rescaled).  ``factorizations`` counts the kernel's QRs
-    and SVDs, closing full-rank checks included, and ``chunks`` the
-    contiguous atom chunks ``reduce`` read.  ``weight_ratio`` is the
+    and SVDs, closing full-rank checks included.  ``weight_ratio`` is the
     largest final weight over the smallest, and ``node_condition`` the
     ratio of the extreme singular values of the nodes' feature columns in
     the internal (rescaled) coordinates, infinite when they are singular.
+    ``to_dict`` writes a float that is not finite as None (JSON null).
     """
 
     initial_atoms: int
@@ -162,10 +161,12 @@ class ReductionReport:
     factorizations: int
     weight_ratio: float
     node_condition: float
-    chunks: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            key: _finite_or_none(value) if isinstance(value, float) else value
+            for key, value in asdict(self).items()
+        }
 
 
 def _rank(singular_values: np.ndarray, nrows: int, tol_factor: float) -> int:
@@ -374,68 +375,96 @@ def _sweep(
     return idx, w, steps, factorizations
 
 
-def _tree(
-    cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float
-):
-    """Tree recombination of one D x n column matrix, which it owns.
+def _columns(
+    features: Features, atoms: np.ndarray, pos: np.ndarray, rescale: AffineRescale | None
+) -> np.ndarray:
+    """A fresh D x len(pos) block of the feature columns of atoms[pos].
 
-    Returns (surviving column positions, surviving weights, elimination
-    steps, factorizations, tree levels); on return the survivors' columns
-    are the first columns of ``cols``, in the order of the positions.  Each
-    level reduces the 2D contiguous groups' weighted means with ``_sweep``
-    and keeps the atoms of surviving groups, each at its share of the old
-    group mass times the new one: shares lie in [0, 1], so weights may span
-    the float range, subnormals included.  The live atoms' columns are then
-    moved to the front of ``cols`` in place, one kept group at a time, so
-    no copy is wider than a group and every group mean is a mat-vec on a
-    view; atoms of a kept group whose weight underflows to 0 are dropped
-    too.  At most 2D atoms
-    go to ``_sweep`` as the base case.  A level whose group means cancel,
-    so that no group can be removed, returns its atoms and weights
-    unreduced.
+    Points are rescaled first when ``rescale`` is given.  A dictionary's
+    errors name atom pos[0] + k for the block's k-th atom, which is the
+    global index wherever ``pos`` is a run of consecutive indices.
     """
-    dim = cols.shape[0]
+    pts = atoms[pos]
+    return _feature_block(
+        features, pts if rescale is None else rescale.apply(pts), int(pos[0])
+    )
+
+
+def _tree(
+    measure: DiscreteMeasure,
+    features: Features,
+    rescale: AffineRescale | None,
+    tol_factor: float,
+    tracker: _SpanTracker,
+):
+    """Tree recombination over all atoms of ``measure``.
+
+    Returns (surviving atom indices, their weights, their feature columns,
+    elimination steps, factorizations, tree levels).  The tree holds only
+    n-length arrays between levels: the live atoms' indices and their
+    weights, which a level turns into shares in place.  Each level splits
+    the live atoms into 2D contiguous groups and divides every weight by its
+    group's mass, so shares lie in [0, 1] and weights may span the float
+    range, subnormals included.  It then builds the live atoms' feature
+    columns (in the rescaled coordinates, for a monomial basis) in blocks
+    of 4,096 atoms, weights each block by the shares in place and adds its
+    per-group sums into the D x 2D group means.  ``_sweep`` reduces the
+    means, and the atoms of the at most D surviving groups take their share
+    of the new group mass; atoms whose weight underflows to 0 are dropped.
+    The first level also feeds ``tracker``, in slices of 2D columns, so no
+    pass is spent on the rank alone.  At most 2D atoms go to ``_sweep`` as
+    the base case, which is the only place columns outlive a block.  A
+    level whose group means cancel, so that no group can be removed,
+    returns its more than 2D atoms unreduced, with no weights or columns.
+    """
+    dim = tracker.dim
     groups = 2 * dim
-    pos = np.arange(weights.shape[0])
-    w = weights
-    n = w.shape[0]
+    project_constant = isinstance(features, MonomialBasis)
+    atoms = measure.atoms
+    pos = np.arange(measure.num_atoms)
+    w = measure.weights.copy()
     steps = factorizations = levels = 0
-    while n > groups:
+    while pos.shape[0] > groups:
+        n = pos.shape[0]
         bounds = (np.arange(groups + 1) * n) // groups
         group_sizes = np.diff(bounds)
         mass = np.add.reduceat(w, bounds[:-1])
-        # Each atom's share of its group's mass lies in [0, 1], whatever the
-        # weights' scale, so means and new weights never divide by a
-        # subnormal mass.
-        share = w / np.repeat(mass, group_sizes)
-        means = np.empty((dim, groups))
-        for g in range(groups):
-            lo, hi = bounds[g], bounds[g + 1]
-            means[:, g] = cols[:, lo:hi] @ share[lo:hi]
+        w /= np.repeat(mass, group_sizes)  # each atom's share of its group
+        means = np.zeros((dim, groups))
+        for start in range(0, n, _ATOM_BLOCK):
+            stop = min(start + _ATOM_BLOCK, n)
+            # Errors from a dictionary name the global atom: on the first
+            # level the block's atoms are pos[start], pos[start] + 1, ...
+            cols = _columns(features, atoms, pos[start:stop], rescale)
+            if not levels:
+                # Small slices keep the tracker's SVD workspace O(D^2).
+                for k in range(0, stop - start, groups):
+                    tracker.add(cols[:, k:k + groups])
+            cols *= w[start:stop]
+            # The groups this block meets, and where each starts in it.
+            first = int(np.searchsorted(bounds, start, side="right")) - 1
+            last = int(np.searchsorted(bounds, stop))
+            offsets = bounds[first:last] - start
+            offsets[0] = 0
+            means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
+            del cols  # freed before the next block is built
         kept, new_mass, s, f = _sweep(means, mass, project_constant, tol_factor)
         steps += s
         factorizations += f
         if kept.shape[0] == groups:
-            return pos, w, steps, factorizations, levels
+            return pos, None, None, steps, factorizations, levels
         levels += 1
         group_mass = np.zeros(groups)
         group_mass[kept] = new_mass
-        w = share * np.repeat(group_mass, group_sizes)
+        w *= np.repeat(group_mass, group_sizes)
         live = w > 0.0
-        # Kept groups in increasing order, so no column is overwritten unread.
-        sizes = np.add.reduceat(live, bounds[:-1], dtype=np.intp)[kept]
-        n = 0
-        for lo, hi, size in zip(bounds[kept].tolist(), bounds[kept + 1].tolist(), sizes.tolist()):
-            if size == hi - lo:
-                cols[:, n:n + size] = cols[:, lo:hi]
-            else:  # a weight underflowed to 0: drop that atom
-                cols[:, n:n + size] = cols[:, lo:hi][:, live[lo:hi]]
-            n += size
         pos = pos[live]
         w = w[live]
-    sub, w, s, f = _sweep(cols[:, :n], w, project_constant, tol_factor)
-    cols[:, :sub.shape[0]] = cols[:, sub]
-    return pos[sub], w, steps + s, factorizations + f, levels
+    cols = _columns(features, atoms, pos, rescale)
+    if not levels:
+        tracker.add(cols)
+    sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
+    return pos[sub], w, cols[:, sub], steps + s, factorizations + f, levels
 
 
 def _noise_amplification(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -463,18 +492,16 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     the input measure's; the achieved max relative residual is recorded in
     the report.
 
-    Atoms are taken in contiguous chunks of 65,536.  Each chunk's feature
-    columns (in [-1, 1]^N coordinates for a monomial basis) are joined to
-    the survivors carried from earlier chunks and reduced by ``_tree``; the
-    chunk's columns are freed before the next chunk's are built, so extra
-    memory is O(D * 65,536) whatever the input size, as long as no chunk's
-    group means cancel.  A chunk whose group means do cancel is carried
-    into the next chunk unreduced.  The output is stated in original
-    coordinates.
+    One tree (``_tree``) runs over all atoms.  Feature columns (in
+    [-1, 1]^N coordinates for a monomial basis) are built 4,096 atoms at a
+    time and dropped after use, so extra memory is O(D * 4,096) plus a few
+    n-length arrays of indices and weights, whatever the input size.  The
+    output is stated in original coordinates.
 
-    Raises ValueError when the features' weighted sums cancel so that more
-    than D atoms remain at the end (a zero moment vector has no positive
-    cubature the reduction can find).
+    Raises ValueError when a moment of the measure overflows the float
+    range, and when the features' weighted sums cancel so that more than D
+    atoms remain at the end (a zero moment vector has no positive cubature
+    the reduction can find).
     """
     dim = feature_count(features)
     atoms = measure.atoms
@@ -491,34 +518,13 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         hi = atoms.max(axis=0)
         rescale = AffineRescale.from_bounds(lo, hi)
         tol_factor = _noise_amplification(lo, hi)
+    # First, so that a measure whose moments overflow fails before the tree.
+    target = moment_vector(measure, features)
 
     tracker = _SpanTracker(dim, tol_factor)
-    idx = np.empty(0, dtype=np.int64)
-    w = np.empty(0)
-    carried = np.empty((dim, 0))
-    steps = factorizations = levels = chunks = 0
-    size = _measure._CHUNK
-    for start in range(0, measure.num_atoms, size):
-        chunks += 1
-        pts = atoms[start:start + size]
-        # Errors from a dictionary name the global atom index.
-        cols = _feature_block(features, pts if rescale is None else rescale.apply(pts), start)
-        # Small slices keep the tracker's SVD workspace O(D^2).
-        for k in range(0, cols.shape[1], 2 * dim):
-            tracker.add(cols[:, k:k + 2 * dim])
-        chunk = np.arange(start, start + cols.shape[1])
-        chunk_w = measure.weights[start:start + size]
-        if idx.shape[0]:
-            chunk = np.concatenate([idx, chunk])
-            chunk_w = np.concatenate([w, chunk_w])
-            cols = np.concatenate([carried, cols], axis=1)
-        keep, w, s, f, lv = _tree(cols, chunk_w, is_monomial, tol_factor)
-        idx = chunk[keep]
-        carried = cols[:, :keep.shape[0]].copy()
-        del cols  # freed before the next chunk's columns are built
-        steps += s
-        factorizations += f
-        levels += lv
+    idx, w, cols, steps, factorizations, levels = _tree(
+        measure, features, rescale, tol_factor, tracker
+    )
     if idx.shape[0] > dim:
         raise ValueError(
             f"reduction stopped at {idx.shape[0]} atoms, above the feature count "
@@ -531,10 +537,9 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         # pin it exactly by one global rescale of the surviving weights.
         w = w * (measure.total_mass / math.fsum(w.tolist()))
     nodes = atoms[idx]
-    target = moment_vector(measure, features)
     achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features)
     residual = float(np.max(np.abs(achieved - target) / (1.0 + np.abs(target))))
-    svals = np.linalg.svd(carried, compute_uv=False)
+    svals = np.linalg.svd(cols, compute_uv=False)
 
     cubature = Cubature(
         node_indices=idx,
@@ -558,7 +563,6 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         # Python floats: a ratio beyond the float range is inf, not a warning.
         weight_ratio=float(w.max()) / float(w.min()),
         node_condition=float(svals[0] / svals[-1]) if svals[-1] > 0.0 else math.inf,
-        chunks=chunks,
     )
     return cubature, report
 

@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import DiscreteMeasure, Features, feature_count, moment_vector
+from .measure import (
+    DiscreteMeasure,
+    Features,
+    _finite_or_none,
+    feature_count,
+    moment_vector,
+)
 from .recomb import Cubature
 
 
@@ -47,13 +53,16 @@ class VerificationReport:
         return ok
 
     def to_dict(self) -> dict:
+        """The report as JSON values; a residual that is not finite is None."""
         return {
-            "per_moment_residual_rel": self.per_moment_residual_rel.tolist(),
-            "max_residual_rel": self.max_residual_rel,
+            "per_moment_residual_rel": [
+                _finite_or_none(r) for r in self.per_moment_residual_rel.tolist()
+            ],
+            "max_residual_rel": _finite_or_none(self.max_residual_rel),
             "weights_positive": self.weights_positive,
             "support_ok": self.support_ok,
             "cardinality_ok": self.cardinality_ok,
-            "mass_gap_rel": self.mass_gap_rel,
+            "mass_gap_rel": _finite_or_none(self.mass_gap_rel),
         }
 
 

@@ -445,9 +445,20 @@ class TestMomentVector:
         values = moment_vector(measure, features)
         np.testing.assert_allclose(values, [3.0, 2.0], atol=1e-15)
 
+    def test_overflowing_moment_is_named(self):
+        # x^2 * w overflows; x * w and w do not.
+        measure = DiscreteMeasure(np.array([[1000000.27]]), np.array([1e300]))
+        with pytest.raises(ValueError, match=r'moment "2" of the measure overflows'):
+            moment_vector(measure, build_basis(1, [1], 2))
+        # Each weighted term of feature 1 is 1.5e308; their sum overflows.
+        features = FunctionDictionary(2, lambda x: np.array([1.0, 1e308 * x[0]]))
+        pair = DiscreteMeasure(np.array([[1.0], [1.5]]), np.array([1.5, 1.0]))
+        with pytest.raises(ValueError, match=r"moment 1 of the measure overflows"):
+            moment_vector(pair, features)
+
     @pytest.mark.parametrize("num_atoms", [4095, 4096, 4097, 3 * 4096 + 5])
     def test_block_boundaries_match_fsum(self, num_atoms):
-        assert measure._MOMENT_BLOCK == 4096
+        assert measure._ATOM_BLOCK == 4096
         rng = np.random.default_rng(num_atoms)
         atoms = rng.uniform(0.5, 2.0, (num_atoms, 2))
         weights = rng.uniform(0.1, 2.0, num_atoms)

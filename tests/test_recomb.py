@@ -1,11 +1,11 @@
 """Tests for the recombination engine: null vectors, pivots, reduction."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-import momcube.measure
 import momcube.recomb
 from momcube import (
     DiscreteMeasure,
@@ -542,7 +542,8 @@ class TestDetectedRank:
 
 
 class TestReduceStreaming:
-    """reduce on inputs far larger than D: many tree levels, several chunks."""
+    """reduce on inputs far larger than D: one tree, many levels, each
+    level's feature columns built in 4,096-atom blocks."""
 
     def test_large_grid_matches_direct_sums(self):
         pts = np.linspace(0.0, 1.0, 10_000)
@@ -576,7 +577,7 @@ class TestReduceStreaming:
         assert {"tree_levels", "rank_tol_factor"} <= set(report.to_dict())
 
     def test_dictionary_reduction_across_chunk_boundary(self):
-        # 70,000 atoms span two 65,536-atom chunks.
+        # 70,000 atoms: 18 blocks of 4,096 on the first level, one tree.
         n = 70_000
         measure = DiscreteMeasure(
             np.linspace(-1.0, 2.0, n).reshape(-1, 1), 1.0 + 0.5 * np.sin(np.arange(n))
@@ -597,11 +598,11 @@ class TestReduceStreaming:
         np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
         np.testing.assert_array_equal(again.weights, cubature.weights)
 
-    def test_cancelling_first_chunk_is_carried_into_the_next(self):
-        # The first 65,536-atom chunk is symmetric about 0, so its group means
-        # cancel and it is carried, unreduced, into the second chunk, whose
-        # 100 extra atoms break the symmetry.  Sweeping the first chunk atom
-        # by atom instead took 65,542 eliminations.
+    def test_symmetric_bulk_with_an_asymmetric_tail_reduces_in_one_tree(self):
+        # The first 65,536 atoms are symmetric about 0, so their moment x is
+        # 0; only the 100 atoms after them make the total positive.  The
+        # tree's group means cover the whole measure, so no level cancels.
+        # (Sweeping the symmetric atoms one by one took 65,542 eliminations.)
         pts = np.concatenate([_symmetric(32_768), np.linspace(0.5, 1.0, 100)])
         measure = _unit_grid_measure(pts)
         features = FunctionDictionary(1, lambda x: np.array([x[0]]))
@@ -622,17 +623,22 @@ class TestReduceStreaming:
         np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
         np.testing.assert_array_equal(again.weights, cubature.weights)
 
-    def test_chunk_count(self, monkeypatch):
-        measure = _unit_grid_measure(np.linspace(-1.0, 1.0, 150))
-        basis = build_basis(1, [1], 2)
-        _, report = reduce(measure, basis)
-        assert report.chunks == 1
-        monkeypatch.setattr(momcube.measure, "_CHUNK", 100)
+    def test_seventy_thousand_atom_monomial_reduction_meets_the_contract(self):
+        rng = np.random.default_rng(71)
+        n = 70_000
+        measure = DiscreteMeasure(rng.uniform(-3.0, 5.0, (n, 2)), rng.uniform(0.1, 2.0, n))
+        basis = build_basis(2, [1, 1], 4)
         cubature, report = reduce(measure, basis)
-        assert report.chunks == 2
-        assert report.to_dict()["chunks"] == 2
-        assert cubature.num_nodes <= 3
-        assert verify_cubature(measure, cubature, basis).passes(1e-8, 1e-12)
+        assert report.tree_levels > 0
+        assert 1 <= cubature.num_nodes <= basis.dimension
+        assert (cubature.weights > 0.0).all()
+        np.testing.assert_array_equal(cubature.nodes, measure.atoms[cubature.node_indices])
+        verification = verify_cubature(measure, cubature, basis)
+        assert verification.passes(1e-8, mass_tol=1e-12), verification.to_dict()
+        assert "chunks" not in report.to_dict()
+        again, _ = reduce(measure, basis)
+        np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
+        np.testing.assert_array_equal(again.weights, cubature.weights)
 
     def test_second_chunk_error_names_the_global_atom(self):
         def failing_at_70000(x):
@@ -662,6 +668,62 @@ class TestReduceStreaming:
         )
         with pytest.raises(ValueError, match=r"non-finite value at atom 101\b"):
             reduce(measure, features)
+
+
+class TestTreeMemory:
+    """The tree keeps n-length indices and weights between levels and builds
+    feature columns 4,096 atoms at a time, so its traced peak stays far
+    below one D x 65,536 column matrix (63 MiB at D = 126, 10 MiB at
+    D = 20).  The measure is built before tracing starts."""
+
+    @staticmethod
+    def _traced_peak(measure, features):
+        tracemalloc.start()
+        try:
+            _, report = reduce(measure, features)
+            return report, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_at_d126(self):
+        # Reducing 65,536-atom chunks of columns, this read 67 MiB.
+        rng = np.random.default_rng(29)
+        n = 100_000
+        measure = DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 4)), rng.uniform(0.1, 2.0, n))
+        basis = build_basis(4, [1, 1, 1, 1], 5)
+        assert basis.dimension == 126
+        report, peak = self._traced_peak(measure, basis)
+        assert report.final_atoms <= 126 and report.max_moment_residual_rel <= 1e-8
+        assert peak <= 16 * 2**20, peak
+
+    def test_peak_at_d20(self):
+        # Reducing 65,536-atom chunks of columns, this read 21.0 MiB.
+        rng = np.random.default_rng(31)
+        n = 200_000
+        measure = DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(0.1, 2.0, n))
+        basis = build_basis(3, [1, 1, 1], 3)
+        assert basis.dimension == 20
+        report, peak = self._traced_peak(measure, basis)
+        assert report.final_atoms <= 20 and report.max_moment_residual_rel <= 1e-8
+        assert peak <= 10 * 2**20, peak
+
+    def test_dictionary_is_evaluated_at_most_three_times_per_atom(self):
+        # The moment target takes one call per atom and the tree levels
+        # about two (n + n/2 + n/4 + ...); a separate pass for the rank
+        # tracker would make it four.
+        calls = 0
+
+        def evaluator(x):
+            nonlocal calls
+            calls += 1
+            return np.array([1.0, x[0], x[1], x[0] * x[1]])
+
+        rng = np.random.default_rng(37)
+        n = 100_000
+        measure = DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 2)), rng.uniform(0.1, 2.0, n))
+        cubature, report = reduce(measure, FunctionDictionary(4, evaluator))
+        assert cubature.num_nodes <= 4 and report.tree_levels > 0
+        assert calls <= 3 * n, calls / n
 
 
 class TestCubatureOfDegree:
