@@ -17,11 +17,19 @@ front of it, ``_load_csv_block`` parses the whole file in one
 returns exactly what the line parser would, or declines, and then the line
 parser reads the file from the start.  A leading UTF-8 byte-order mark, as
 spreadsheet exports write it, is dropped before either format is parsed.
+
+Array ownership: ``DiscreteMeasure(atoms, weights)`` copies its inputs, so
+a caller may go on writing to its own arrays.  ``load_measure`` builds the
+arrays itself and hands them to the measure without a copy (the array
+``np.loadtxt`` returned, or the line parsers' ``array("d")`` buffers), so
+a loaded measure costs its own bytes once.  In both cases the measure's
+``atoms`` and ``weights`` are read-only.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 from array import array
@@ -48,16 +56,22 @@ class MeasureFormatError(ValueError):
 class DiscreteMeasure:
     """M atoms in R^N with strictly positive weights.
 
-    Arrays are made read-only; all operations treat the measure as
-    immutable, so instances are safe to share between threads.
+    The constructor copies ``atoms`` and ``weights``, so later writes to
+    the caller's arrays do not reach the measure.  The measure's arrays are
+    read-only; all operations treat the measure as immutable, so instances
+    are safe to share between threads.
     """
 
     atoms: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        weights = np.asarray(self.weights, dtype=float).reshape(-1)
+        self._adopt(self.atoms, self.weights, copy=True)
+
+    def _adopt(self, atoms, weights, copy: bool):
+        """Check the arrays and store them read-only, copied or not."""
+        atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
+        weights = np.asarray(weights, dtype=float).reshape(-1)
         if atoms.ndim != 2 or atoms.shape[0] < 1:
             raise ValueError("a measure needs at least one atom")
         if weights.shape[0] != atoms.shape[0]:
@@ -68,8 +82,9 @@ class DiscreteMeasure:
             raise ValueError("atom coordinates must be finite")
         if not np.isfinite(weights).all() or (weights <= 0.0).any():
             raise ValueError("weights must be finite and strictly positive")
-        atoms = atoms.copy()
-        weights = weights.copy()
+        if copy:
+            atoms = atoms.copy()
+            weights = weights.copy()
         atoms.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "atoms", atoms)
@@ -85,7 +100,27 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> float:
-        return math.fsum(self.weights.tolist())
+        """The correctly rounded sum of the weights.
+
+        ``math.fsum`` takes the weights one 4,096-weight block's list at a
+        time, so the pass holds 4,096 Python floats, not one per atom.
+        """
+        blocks = (
+            self.weights[start:start + _ATOM_BLOCK].tolist()
+            for start in range(0, self.num_atoms, _ATOM_BLOCK)
+        )
+        return math.fsum(itertools.chain.from_iterable(blocks))
+
+
+def _owned_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
+    """A measure that takes over arrays nobody else holds, without a copy.
+
+    Only ``load_measure`` calls it, on arrays it has just built.  The checks
+    are ``DiscreteMeasure``'s own, and the arrays are made read-only.
+    """
+    measure = object.__new__(DiscreteMeasure)
+    measure._adopt(atoms, weights, copy=False)
+    return measure
 
 
 @dataclass(frozen=True)
@@ -311,12 +346,18 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     otherwise it is read again by the line parser, which is the only source
     of format errors, so messages and line numbers do not depend on the
     path taken.
+
+    The measure owns the arrays the parse produced: the array that
+    ``np.loadtxt`` returned (atoms and weights are views of it), or the
+    line parsers' flat buffers.  Nothing is copied, so the peak is about
+    the measure's own bytes (with a path source; a file object or bytes
+    are first read whole).  Both arrays are read-only.
     """
     with _open_text(source) as text_file:
         if fmt == "csv":
             block = _load_csv_block(text_file, num_vars)
             if block is not None:
-                return DiscreteMeasure(*block)
+                return _owned_measure(*block)
             text_file.seek(0)
             atoms, weights = _parse_csv(text_file, num_vars)
         elif fmt == "jsonl":
@@ -327,7 +368,7 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
         raise MeasureFormatError("no atoms in input")
     # The line parsers append rows flat, one float per cell, so no Python
     # object per row outlives the parse.
-    return DiscreteMeasure(
+    return _owned_measure(
         np.frombuffer(atoms, dtype=float).reshape(len(weights), -1),
         np.frombuffer(weights, dtype=float),
     )

@@ -23,9 +23,10 @@ The engine has three layers:
   weighted group means, rescales the atom weights of the at most D
   surviving groups and drops the rest, so every level costs one small
   reduction and roughly halves the atoms.  Between levels it keeps only
-  the live atoms' indices and weights; each level builds their feature
-  columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
-  plus a few n-length arrays, whatever the atom count.
+  the live atoms' weights and (after the first level) indices; each level
+  builds their feature columns again, 4,096 atoms at a time, so extra
+  memory is O(D * 4,096) plus about two numbers per atom, whatever the
+  atom count.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
   applied to a D x n column matrix of at most 2D columns: a level's group
@@ -77,9 +78,15 @@ class AffineRescale:
 
     @classmethod
     def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "AffineRescale":
-        """The map sending the per-coordinate box [lo, hi] onto [-1, 1]."""
-        shift = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
+        """The map sending the per-coordinate box [lo, hi] onto [-1, 1].
+
+        Each bound is halved before the sum or difference is taken, so the
+        midpoint and half-width stay finite for bounds up to the float
+        maximum.  Halving is exact above the subnormal range, so there they
+        equal 0.5 * (lo + hi) and 0.5 * (hi - lo) bit for bit.
+        """
+        shift = lo / 2 + hi / 2
+        half = hi / 2 - lo / 2
         scale = np.where(half > 0.0, half, 1.0)
         return cls(shift=shift, scale=scale)
 
@@ -376,18 +383,29 @@ def _sweep(
 
 
 def _columns(
-    features: Features, atoms: np.ndarray, pos: np.ndarray, rescale: AffineRescale | None
+    features: Features, pts: np.ndarray, offset: int, rescale: AffineRescale | None
 ) -> np.ndarray:
-    """A fresh D x len(pos) block of the feature columns of atoms[pos].
+    """A fresh D x len(pts) block of the feature columns of ``pts``.
 
     Points are rescaled first when ``rescale`` is given.  A dictionary's
-    errors name atom pos[0] + k for the block's k-th atom, which is the
-    global index wherever ``pos`` is a run of consecutive indices.
+    errors name atom offset + k for the block's k-th point.
     """
-    pts = atoms[pos]
     return _feature_block(
-        features, pts if rescale is None else rescale.apply(pts), int(pos[0])
+        features, pts if rescale is None else rescale.apply(pts), offset
     )
+
+
+def _per_atom(values: np.ndarray, bounds: np.ndarray, start: int, stop: int):
+    """Group values spread over the atoms start..stop-1 of a level.
+
+    Group g holds atoms bounds[g]..bounds[g + 1] - 1.  Returns (first,
+    last, spread): the groups first..last-1 meet the block, and spread[k]
+    is the value of atom start + k's group, a fresh array of stop - start.
+    """
+    first = int(np.searchsorted(bounds, start, side="right")) - 1
+    last = int(np.searchsorted(bounds, stop))
+    sizes = np.diff(np.clip(bounds[first:last + 1], start, stop))
+    return first, last, np.repeat(values[first:last], sizes)
 
 
 def _tree(
@@ -400,51 +418,55 @@ def _tree(
     """Tree recombination over all atoms of ``measure``.
 
     Returns (surviving atom indices, their weights, their feature columns,
-    elimination steps, factorizations, tree levels).  The tree holds only
-    n-length arrays between levels: the live atoms' indices and their
-    weights, which a level turns into shares in place.  Each level splits
-    the live atoms into 2D contiguous groups and divides every weight by its
-    group's mass, so shares lie in [0, 1] and weights may span the float
-    range, subnormals included.  It then builds the live atoms' feature
-    columns (in the rescaled coordinates, for a monomial basis) in blocks
-    of 4,096 atoms, weights each block by the shares in place and adds its
-    per-group sums into the D x 2D group means.  ``_sweep`` reduces the
-    means, and the atoms of the at most D surviving groups take their share
-    of the new group mass; atoms whose weight underflows to 0 are dropped.
-    The first level also feeds ``tracker``, in slices of 2D columns, so no
-    pass is spent on the rank alone.  At most 2D atoms go to ``_sweep`` as
-    the base case, which is the only place columns outlive a block.  A
-    level whose group means cancel, so that no group can be removed,
-    returns its more than 2D atoms unreduced, with no weights or columns.
+    elimination steps, factorizations, tree levels).  Between levels the
+    tree holds only the live atoms' weights and, from the second level on,
+    their indices; the first level reads the atoms by slice.  Each level
+    splits the live atoms into 2D contiguous groups and, block by block,
+    divides every weight by its group's mass in place, so shares lie in
+    [0, 1] and weights may span the float range, subnormals included.  It
+    builds each block's feature columns (in the rescaled coordinates, for a
+    monomial basis) 4,096 atoms at a time, weights them by the shares in
+    place and adds their per-group sums into the D x 2D group means.
+    ``_sweep`` reduces the means, and the atoms of the at most D surviving
+    groups take their share of the new group mass, again block by block;
+    atoms whose weight underflows to 0 are dropped, and the survivors are
+    moved to the front of the same arrays.  So no level allocates an array
+    of one number per atom beyond the first level's survivor indices.  The
+    first level also feeds ``tracker``, in slices of 2D columns, so no pass
+    is spent on the rank alone.  At most 2D atoms go to ``_sweep`` as the
+    base case, which is the only place columns outlive a block.  A level
+    whose group means cancel, so that no group can be removed, returns its
+    more than 2D atoms unreduced, with no weights or columns.
     """
     dim = tracker.dim
     groups = 2 * dim
     project_constant = isinstance(features, MonomialBasis)
     atoms = measure.atoms
-    pos = np.arange(measure.num_atoms)
+    n = measure.num_atoms
+    pos = None  # live atom indices; None on the first level, where they are 0..n-1
     w = measure.weights.copy()
     steps = factorizations = levels = 0
-    while pos.shape[0] > groups:
-        n = pos.shape[0]
+    while n > groups:
         bounds = (np.arange(groups + 1) * n) // groups
-        group_sizes = np.diff(bounds)
         mass = np.add.reduceat(w, bounds[:-1])
-        w /= np.repeat(mass, group_sizes)  # each atom's share of its group
         means = np.zeros((dim, groups))
         for start in range(0, n, _ATOM_BLOCK):
             stop = min(start + _ATOM_BLOCK, n)
-            # Errors from a dictionary name the global atom: on the first
-            # level the block's atoms are pos[start], pos[start] + 1, ...
-            cols = _columns(features, atoms, pos[start:stop], rescale)
-            if not levels:
+            first, last, group_mass = _per_atom(mass, bounds, start, stop)
+            shares = w[start:stop]
+            shares /= group_mass  # each atom's share of its group
+            if pos is None:
+                cols = _columns(features, atoms[start:stop], start, rescale)
                 # Small slices keep the tracker's SVD workspace O(D^2).
                 for k in range(0, stop - start, groups):
                     tracker.add(cols[:, k:k + groups])
-            cols *= w[start:stop]
-            # The groups this block meets, and where each starts in it.
-            first = int(np.searchsorted(bounds, start, side="right")) - 1
-            last = int(np.searchsorted(bounds, stop))
-            offsets = bounds[first:last] - start
+            else:
+                # A dictionary's errors name atom pos[start] + k: the global
+                # index only where the block's indices are consecutive.
+                block = pos[start:stop]
+                cols = _columns(features, atoms[block], int(block[0]), rescale)
+            cols *= shares
+            offsets = bounds[first:last] - start  # where each group starts
             offsets[0] = 0
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
             del cols  # freed before the next block is built
@@ -452,15 +474,33 @@ def _tree(
         steps += s
         factorizations += f
         if kept.shape[0] == groups:
-            return pos, None, None, steps, factorizations, levels
-        levels += 1
+            live_pos = np.arange(n) if pos is None else pos
+            return live_pos, None, None, steps, factorizations, levels
         group_mass = np.zeros(groups)
         group_mass[kept] = new_mass
-        w *= np.repeat(group_mass, group_sizes)
-        live = w > 0.0
-        pos = pos[live]
-        w = w[live]
-    cols = _columns(features, atoms, pos, rescale)
+        first_level = pos is None
+        if first_level:
+            # Room for every atom of the kept groups.
+            pos = np.empty(int(np.diff(bounds)[kept].sum()), dtype=np.intp)
+        live = 0
+        for start in range(0, n, _ATOM_BLOCK):
+            stop = min(start + _ATOM_BLOCK, n)
+            block = w[start:stop]
+            block *= _per_atom(group_mass, bounds, start, stop)[2]
+            keep = np.flatnonzero(block > 0.0)
+            # live <= start: the survivors move forward in place.
+            w[live:live + keep.shape[0]] = block[keep]
+            pos[live:live + keep.shape[0]] = (
+                keep + start if first_level else pos[start:stop][keep]
+            )
+            live += keep.shape[0]
+        levels += 1
+        n = live
+        w = w[:n]
+        pos = pos[:n]
+    if pos is None:
+        pos = np.arange(n)
+    cols = _columns(features, atoms[pos], int(pos[0]), rescale)
     if not levels:
         tracker.add(cols)
     sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
@@ -474,10 +514,11 @@ def _noise_amplification(lo: np.ndarray, hi: np.ndarray) -> float:
     (x - shift) / half turns the eps * |x| uncertainty of a stored
     coordinate into roughly eps * (|shift| + half) / half; rank decisions in
     rescaled coordinates must not resolve below that.  Constant coordinates
-    map to exactly zero and do not contribute.
+    map to exactly zero and do not contribute.  Midpoint and half-width are
+    halved before they are added, as in ``AffineRescale.from_bounds``.
     """
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (lo + hi)
+    half = hi / 2 - lo / 2
+    center = lo / 2 + hi / 2
     live = half > 0.0
     if not live.any():
         return 1.0
@@ -494,9 +535,10 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
 
     One tree (``_tree``) runs over all atoms.  Feature columns (in
     [-1, 1]^N coordinates for a monomial basis) are built 4,096 atoms at a
-    time and dropped after use, so extra memory is O(D * 4,096) plus a few
-    n-length arrays of indices and weights, whatever the input size.  The
-    output is stated in original coordinates.
+    time and dropped after use, so extra memory is O(D * 4,096) plus the
+    tree's copy of the weights and the survivor indices of its first level
+    (about 1.5 numbers per atom), whatever the input size.  The output is
+    stated in original coordinates.
 
     Raises ValueError when a moment of the measure overflows the float
     range, and when the features' weighted sums cancel so that more than D

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -527,6 +528,22 @@ class TestNonFiniteValues:
         code = main(["verify", "--input", overflow_csv, "--num-vars", "1",
                      "--cubature", cubature, "--out-dir", str(out)])
         self._assert_input_error(code, out, capsys)
+
+    def test_bounds_near_the_float_maximum_reduce(self, tmp_path, capsys):
+        # lo + hi overflows here; the rescale halves each bound first.
+        source = _write(tmp_path / "huge.csv", "1.7e308,1e-10\n1.6e308,2e-10\n1.65e308,1e-10\n")
+        out = tmp_path / "r"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["reduce", "--input", source, "--num-vars", "1",
+                         "--degree", "1", "--out-dir", str(out)])
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
+        report = json.loads((out / "reduction_report.json").read_text())
+        assert report["final_atoms"] == 2
+        assert report["max_moment_residual_rel"] <= 1e-15
+        [shift] = report["rescaling"]["shift"]
+        assert 1.6e308 < shift < 1.7e308
 
     def test_infinite_weight_ratio_is_written_as_null(self, tmp_path):
         source = _write(tmp_path / "two.csv", "0.1,1e-320\n0.9,1e300\n")

@@ -1,6 +1,8 @@
 """Tests for measure ingestion, feature blocks, and moment vectors."""
 
 import io
+import json
+import math
 import tracemalloc
 from unittest import mock
 
@@ -313,6 +315,97 @@ class TestDiscreteMeasure:
     def test_total_mass(self):
         m = DiscreteMeasure(np.zeros((3, 1)), np.array([0.5, 1.25, 0.25]))
         assert m.total_mass == 2.0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOwnership:
+    """The constructor copies; a loaded measure owns the parsed arrays."""
+
+    def test_constructor_copies_its_inputs(self):
+        atoms = np.array([[0.0, 1.0], [2.0, 3.0]])
+        weights = np.array([0.5, 1.5])
+        m = DiscreteMeasure(atoms, weights)
+        atoms[0, 0] = 7.0
+        weights[1] = 9.0
+        np.testing.assert_array_equal(m.atoms, [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(m.weights, [0.5, 1.5])
+
+    @pytest.mark.parametrize("text, fmt", [
+        ("1.0,2.0,0.5\n3.0,4.0,1.5\n", "csv"),  # np.loadtxt's block
+        ("1_0.0,2.0,0.5\n3.0,4.0,1.5\n", "csv"),  # the line parser
+        ('{"x": [1.0, 2.0], "w": 0.5}\n{"x": [3.0, 4.0]}\n', "jsonl"),
+    ])
+    def test_loaded_arrays_are_read_only(self, text, fmt):
+        m = load_measure(_csv(text), fmt, num_vars=2)
+        assert m.num_atoms == 2
+        for arr in (m.atoms, m.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("num_atoms", [4095, 4096, 4097, 3 * 4096 + 5])
+    def test_total_mass_is_fsum_bit_for_bit(self, num_atoms):
+        assert measure._ATOM_BLOCK == 4096
+        rng = np.random.default_rng(num_atoms)
+        # Weights over 40 decades, so a plain or blocked float sum would
+        # round differently from the correctly rounded one.
+        weights = 10.0 ** rng.uniform(-20.0, 20.0, num_atoms)
+        m = DiscreteMeasure(np.zeros((num_atoms, 1)), weights)
+        assert m.total_mass == math.fsum(weights.tolist())
+
+
+class TestIngestMemory:
+    """Traced peaks of ingest and of the mass sum.  Files and measures are
+    built before tracing starts."""
+
+    num_rows = 30_000
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(41)
+        return rng.uniform(-1.0, 1.0, (self.num_rows, 3)), rng.uniform(0.1, 2.0, self.num_rows)
+
+    @pytest.mark.parametrize("path", ["block", "lines", "jsonl"])
+    def test_load_peak_is_about_the_measure(self, rows, path, tmp_path):
+        # A copy of the parsed arrays made this 2.0x on all three paths.
+        atoms, weights = rows
+        source = tmp_path / "measure.txt"
+        with open(source, "w") as out:
+            for k, (row, w) in enumerate(zip(atoms.tolist(), weights.tolist())):
+                if path == "jsonl":
+                    out.write(json.dumps({"x": row, "w": w}) + "\n")
+                elif path == "lines" and k == 0:
+                    # np.loadtxt refuses the underscore; float() takes it.
+                    out.write(f"1_0.5,{row[1]!r},{row[2]!r},{w!r}\n")
+                else:
+                    out.write(",".join(map(repr, row + [w])) + "\n")
+        fmt = "jsonl" if path == "jsonl" else "csv"
+        m, peak = _traced_peak(lambda: load_measure(str(source), fmt, num_vars=3))
+        assert m.num_atoms == self.num_rows
+        if path != "lines":
+            np.testing.assert_array_equal(m.atoms, atoms)
+        np.testing.assert_array_equal(m.weights, weights)
+        measure_bytes = m.atoms.nbytes + m.weights.nbytes
+        assert peak <= 1.3 * measure_bytes, peak / measure_bytes
+
+    def test_total_mass_peak_does_not_grow_with_the_atom_count(self):
+        # One Python float per weight made this 6.1 MiB at 2 * 10^5 atoms.
+        rng = np.random.default_rng(43)
+        peaks = []
+        for num_atoms in (20_000, 200_000):
+            m = DiscreteMeasure(np.zeros((num_atoms, 1)), rng.uniform(0.1, 2.0, num_atoms))
+            peaks.append(_traced_peak(lambda: m.total_mass)[1])
+        small, large = peaks
+        assert large <= 1.1 * small, peaks
+        assert large <= 2**20, peaks
 
 
 class TestFeatureMatrix:

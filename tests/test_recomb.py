@@ -707,6 +707,19 @@ class TestTreeMemory:
         assert report.final_atoms <= 20 and report.max_moment_residual_rel <= 1e-8
         assert peak <= 10 * 2**20, peak
 
+    def test_peak_at_d20_is_the_weights_and_survivors(self):
+        # The tree's copy of the weights (1.5 MiB) and its first level's
+        # survivor indices (about 0.8 MiB), plus O(D * 4,096) blocks.  An
+        # index array over all atoms and two np.repeat spreads of the group
+        # masses made this 6.1 MiB.
+        rng = np.random.default_rng(53)
+        n = 200_000
+        measure = DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(0.1, 2.0, n))
+        basis = build_basis(3, [1, 1, 1], 3)
+        report, peak = self._traced_peak(measure, basis)
+        assert report.final_atoms <= 20 and report.max_moment_residual_rel <= 1e-8
+        assert peak <= 4.5 * 2**20, peak
+
     def test_dictionary_is_evaluated_at_most_three_times_per_atom(self):
         # The moment target takes one call per atom and the tree levels
         # about two (n + n/2 + n/4 + ...); a separate pass for the rank
