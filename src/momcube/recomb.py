@@ -452,9 +452,9 @@ def _tree(
         means = np.zeros((dim, groups))
         for start in range(0, n, _ATOM_BLOCK):
             stop = min(start + _ATOM_BLOCK, n)
-            first, last, group_mass = _per_atom(mass, bounds, start, stop)
+            first, last, atom_mass = _per_atom(mass, bounds, start, stop)
             shares = w[start:stop]
-            shares /= group_mass  # each atom's share of its group
+            shares /= atom_mass  # each atom's share of its group
             if pos is None:
                 cols = _columns(features, atoms[start:stop], start, rescale)
                 # Small slices keep the tracker's SVD workspace O(D^2).
