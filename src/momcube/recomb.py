@@ -23,10 +23,9 @@ The engine has three layers:
   weighted group means, rescales the atom weights of the at most D
   surviving groups and drops the rest, so every level costs one small
   reduction and roughly halves the atoms.  Between levels it keeps only
-  the live atoms' weights and (after the first level) indices; each level
-  builds their feature columns again, 4,096 atoms at a time, so extra
-  memory is O(D * 4,096) plus about two numbers per atom, whatever the
-  atom count.
+  the live atoms' weights and indices; each level builds their feature
+  columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
+  plus about two numbers per atom, whatever the atom count.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
   applied to a D x n column matrix of at most 2D columns: a level's group
@@ -69,6 +68,24 @@ _EPS = np.finfo(float).eps
 _BLOCK = 16
 
 
+def _midpoint_halfwidth(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """0.5 * (lo + hi) and 0.5 * (hi - lo), finite for bounds up to the float
+    maximum.
+
+    Where the sum or difference overflows, each bound is halved first
+    instead; that is exact there, since such bounds are far above the
+    subnormal range.  Everywhere else, a constant subnormal coordinate
+    included, the plain formula is used, so lo == hi gives a midpoint of
+    exactly lo.
+    """
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+    mid = np.where(np.isfinite(mid), mid, lo / 2 + hi / 2)
+    half = np.where(np.isfinite(half), half, hi / 2 - lo / 2)
+    return mid, half
+
+
 @dataclass(frozen=True)
 class AffineRescale:
     """Per-coordinate map x -> (x - shift) / scale used for conditioning."""
@@ -78,15 +95,8 @@ class AffineRescale:
 
     @classmethod
     def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "AffineRescale":
-        """The map sending the per-coordinate box [lo, hi] onto [-1, 1].
-
-        Each bound is halved before the sum or difference is taken, so the
-        midpoint and half-width stay finite for bounds up to the float
-        maximum.  Halving is exact above the subnormal range, so there they
-        equal 0.5 * (lo + hi) and 0.5 * (hi - lo) bit for bit.
-        """
-        shift = lo / 2 + hi / 2
-        half = hi / 2 - lo / 2
+        """The map sending the per-coordinate box [lo, hi] onto [-1, 1]."""
+        shift, half = _midpoint_halfwidth(lo, hi)
         scale = np.where(half > 0.0, half, 1.0)
         return cls(shift=shift, scale=scale)
 
@@ -419,8 +429,7 @@ def _tree(
 
     Returns (surviving atom indices, their weights, their feature columns,
     elimination steps, factorizations, tree levels).  Between levels the
-    tree holds only the live atoms' weights and, from the second level on,
-    their indices; the first level reads the atoms by slice.  Each level
+    tree holds only the live atoms' weights and indices.  Each level
     splits the live atoms into 2D contiguous groups and, block by block,
     divides every weight by its group's mass in place, so shares lie in
     [0, 1] and weights may span the float range, subnormals included.  It
@@ -431,9 +440,8 @@ def _tree(
     groups take their share of the new group mass, again block by block;
     atoms whose weight underflows to 0 are dropped, and the survivors are
     moved to the front of the same arrays.  So no level allocates an array
-    of one number per atom beyond the first level's survivor indices.  The
-    first level also feeds ``tracker``, in slices of 2D columns, so no pass
-    is spent on the rank alone.  At most 2D atoms go to ``_sweep`` as the
+    of one number per atom.  The first level also feeds ``tracker``, in
+    slices of 2D columns, so no pass is spent on the rank alone.  At most 2D atoms go to ``_sweep`` as the
     base case, which is the only place columns outlive a block.  A level
     whose group means cancel, so that no group can be removed, returns its
     more than 2D atoms unreduced, with no weights or columns.
@@ -443,7 +451,7 @@ def _tree(
     project_constant = isinstance(features, MonomialBasis)
     atoms = measure.atoms
     n = measure.num_atoms
-    pos = None  # live atom indices; None on the first level, where they are 0..n-1
+    pos = np.arange(n)  # live atom indices
     w = measure.weights.copy()
     steps = factorizations = levels = 0
     while n > groups:
@@ -455,16 +463,14 @@ def _tree(
             first, last, atom_mass = _per_atom(mass, bounds, start, stop)
             shares = w[start:stop]
             shares /= atom_mass  # each atom's share of its group
-            if pos is None:
-                cols = _columns(features, atoms[start:stop], start, rescale)
+            # A dictionary's errors name atom pos[start] + k: the global
+            # index only where the block's indices are consecutive.
+            block = pos[start:stop]
+            cols = _columns(features, atoms[block], int(block[0]), rescale)
+            if not levels:
                 # Small slices keep the tracker's SVD workspace O(D^2).
                 for k in range(0, stop - start, groups):
                     tracker.add(cols[:, k:k + groups])
-            else:
-                # A dictionary's errors name atom pos[start] + k: the global
-                # index only where the block's indices are consecutive.
-                block = pos[start:stop]
-                cols = _columns(features, atoms[block], int(block[0]), rescale)
             cols *= shares
             offsets = bounds[first:last] - start  # where each group starts
             offsets[0] = 0
@@ -474,14 +480,9 @@ def _tree(
         steps += s
         factorizations += f
         if kept.shape[0] == groups:
-            live_pos = np.arange(n) if pos is None else pos
-            return live_pos, None, None, steps, factorizations, levels
+            return pos, None, None, steps, factorizations, levels
         group_mass = np.zeros(groups)
         group_mass[kept] = new_mass
-        first_level = pos is None
-        if first_level:
-            # Room for every atom of the kept groups.
-            pos = np.empty(int(np.diff(bounds)[kept].sum()), dtype=np.intp)
         live = 0
         for start in range(0, n, _ATOM_BLOCK):
             stop = min(start + _ATOM_BLOCK, n)
@@ -490,16 +491,12 @@ def _tree(
             keep = np.flatnonzero(block > 0.0)
             # live <= start: the survivors move forward in place.
             w[live:live + keep.shape[0]] = block[keep]
-            pos[live:live + keep.shape[0]] = (
-                keep + start if first_level else pos[start:stop][keep]
-            )
+            pos[live:live + keep.shape[0]] = pos[start:stop][keep]
             live += keep.shape[0]
         levels += 1
         n = live
         w = w[:n]
         pos = pos[:n]
-    if pos is None:
-        pos = np.arange(n)
     cols = _columns(features, atoms[pos], int(pos[0]), rescale)
     if not levels:
         tracker.add(cols)
@@ -514,11 +511,9 @@ def _noise_amplification(lo: np.ndarray, hi: np.ndarray) -> float:
     (x - shift) / half turns the eps * |x| uncertainty of a stored
     coordinate into roughly eps * (|shift| + half) / half; rank decisions in
     rescaled coordinates must not resolve below that.  Constant coordinates
-    map to exactly zero and do not contribute.  Midpoint and half-width are
-    halved before they are added, as in ``AffineRescale.from_bounds``.
+    map to exactly zero and do not contribute.
     """
-    half = hi / 2 - lo / 2
-    center = lo / 2 + hi / 2
+    center, half = _midpoint_halfwidth(lo, hi)
     live = half > 0.0
     if not live.any():
         return 1.0
@@ -536,8 +531,8 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     One tree (``_tree``) runs over all atoms.  Feature columns (in
     [-1, 1]^N coordinates for a monomial basis) are built 4,096 atoms at a
     time and dropped after use, so extra memory is O(D * 4,096) plus the
-    tree's copy of the weights and the survivor indices of its first level
-    (about 1.5 numbers per atom), whatever the input size.  The output is
+    tree's copy of the weights and its atom indices (two numbers per atom),
+    whatever the input size.  The output is
     stated in original coordinates.
 
     Raises ValueError when a moment of the measure overflows the float

@@ -708,10 +708,9 @@ class TestTreeMemory:
         assert peak <= 10 * 2**20, peak
 
     def test_peak_at_d20_is_the_weights_and_survivors(self):
-        # The tree's copy of the weights (1.5 MiB) and its first level's
-        # survivor indices (about 0.8 MiB), plus O(D * 4,096) blocks.  An
-        # index array over all atoms and two np.repeat spreads of the group
-        # masses made this 6.1 MiB.
+        # The tree's copy of the weights and its atom indices (1.5 MiB
+        # each), plus O(D * 4,096) blocks.  Two np.repeat spreads of the
+        # group masses over all atoms made this 6.1 MiB.
         rng = np.random.default_rng(53)
         n = 200_000
         measure = DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(0.1, 2.0, n))
@@ -737,6 +736,38 @@ class TestTreeMemory:
         cubature, report = reduce(measure, FunctionDictionary(4, evaluator))
         assert cubature.num_nodes <= 4 and report.tree_levels > 0
         assert calls <= 3 * n, calls / n
+
+
+class TestAffineRescale:
+    """The [-1, 1] rescale's midpoint and half-width are 0.5 * (lo + hi) and
+    0.5 * (hi - lo) wherever those are finite, and stay finite up to the
+    float maximum."""
+
+    def test_constant_subnormal_coordinate_maps_to_zero(self):
+        lo = hi = np.array([5e-324, -5e-324, 1.0])
+        rescale = momcube.recomb.AffineRescale.from_bounds(lo, hi)
+        assert rescale.shift.tolist() == lo.tolist()
+        assert rescale.apply(lo[None, :]).tolist() == [[0.0, 0.0, 0.0]]
+        assert momcube.recomb._noise_amplification(lo, hi) == 1.0
+
+    def test_finite_sums_give_the_plain_formula_bit_for_bit(self):
+        lo = np.array([5e-324, -3.0, 1e-310, 0.1, -1e307])
+        hi = np.array([1.5e-323, 7.0, 3e-310, 0.7, 1e307])
+        rescale = momcube.recomb.AffineRescale.from_bounds(lo, hi)
+        assert rescale.shift.tolist() == (0.5 * (lo + hi)).tolist()
+        assert rescale.scale.tolist() == (0.5 * (hi - lo)).tolist()
+
+    def test_bounds_near_the_float_maximum_stay_finite(self):
+        lo = np.array([1.6e308, -1.7e308])
+        hi = np.array([1.7e308, 1.7e308])
+        with np.errstate(all="raise"):
+            rescale = momcube.recomb.AffineRescale.from_bounds(lo, hi)
+            amplification = momcube.recomb._noise_amplification(lo, hi)
+        # Halving these bounds is exact, so only the final sum rounds.
+        assert rescale.shift.tolist() == (lo / 2 + hi / 2).tolist()
+        assert rescale.scale.tolist() == (hi / 2 - lo / 2).tolist()
+        assert 1.6e308 < rescale.shift[0] < 1.7e308 and rescale.scale[1] == 1.7e308
+        assert math.isfinite(amplification)
 
 
 class TestCubatureOfDegree:

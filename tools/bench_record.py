@@ -1,22 +1,22 @@
-"""Record benchmark runs of one or two checkouts in ``BENCH_<label>.json``.
+"""Record benchmark runs of this checkout, and optionally of a parent
+checkout, in ``BENCH_<label>.json``.
 
     python3 tools/bench_record.py --label pr20 --parent ../parent \\
         --runs cli-roundtrip:51-60 --runs reduce-d126:1-3 --seconds 20
 
-Each ``--runs WORKLOAD:SEEDS`` entry runs ``perfbench/run.py`` of every
-checkout once per seed (seeds are ``A-B`` ranges or comma lists), one run
-per process.  With ``--parent``, a seed's two runs form a pair, and the
-side that runs first alternates from pair to pair, so that a slow or fast
-stretch of a shared CPU does not always fall on the same side.  The change
-is the checkout given by ``--change``, by default the one this script
-lives in.
+Each ``--runs WORKLOAD:SEEDS`` entry runs ``perfbench/run.py --trace 0``
+of every checkout once per seed (seeds are ``A-B`` ranges or comma lists),
+one run per process.  The change is the checkout this script lives in.
+With ``--parent``, a seed's two runs form a pair, and the side that runs
+first alternates from pair to pair, so that a slow or fast stretch of a
+shared CPU does not always fall on the same side.
 
-The file goes to the root of the checkout this script lives in.  It holds
-the machine (platform, CPU count and model, ``OPENBLAS_CORETYPE`` if set,
-and the text of ``numpy.show_runtime()``, which names the SIMD extensions
-that select the OpenBLAS kernel), each side's environment as run.py
-prints it on its ``env`` line (versions, BLAS, git sha), the seeds, every
-run's metrics and counter digest, and per side and workload the median and
+The file goes to the root of the change's checkout.  It holds the
+machine (platform, CPU count and model, ``OPENBLAS_CORETYPE`` if set, and
+the text of ``numpy.show_runtime()``, which names the SIMD extensions that
+select the OpenBLAS kernel), each side's environment as run.py prints it
+on its ``env`` line (versions, BLAS, git sha), the seeds, every run's
+metrics and counter digest, and per side and workload the median and
 quartiles of each end-to-end metric, plus the pairs the change wins.
 
 Standard library only; ``numpy`` is only ever imported in a subprocess.
@@ -64,10 +64,10 @@ def parse_run_output(stdout: str) -> dict:
     }
 
 
-def run_one(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_one(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     return parse_run_output(done.stdout)
@@ -138,14 +138,12 @@ def machine() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
-    parser.add_argument("--change", type=Path, default=ROOT, help="checkout under test")
     parser.add_argument("--parent", type=Path, help="checkout to compare against")
     parser.add_argument("--runs", action="append", required=True, metavar="WORKLOAD:SEEDS")
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     args = parser.parse_args(argv)
 
-    sides = {"change": args.change.resolve()}
+    sides = {"change": ROOT}
     if args.parent is not None:
         sides["parent"] = args.parent.resolve()
     plan = []
@@ -158,20 +156,20 @@ def main(argv=None) -> int:
         # The parent goes first in even pairs, the change in odd ones.
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for position, side in enumerate(s for s in order if s in sides):
-            done = run_one(sides[side], workload, seed, args.seconds, args.trace)
+            done = run_one(sides[side], workload, seed, args.seconds)
             env = done.pop("env")
             envs.setdefault(side, {key: v for key, v in env.items() if key not in RUN_KEYS})
             runs.append({"side": side, "workload": workload, "seed": seed,
                          "first": position == 0, **done})
             print(f"{workload} seed {seed} {side}: {done['metrics']}", file=sys.stderr)
 
-    benchmark = json.loads((sides["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]} if not args.trace else {}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     record = {
         "label": args.label,
         "machine": machine(),
         "environment": envs,
-        "command": {"seconds": args.seconds, "trace": args.trace},
+        "command": {"seconds": args.seconds, "trace": 0},
         "seeds": {w: [s for ww, s in plan if ww == w] for w in dict.fromkeys(w for w, _ in plan)},
         "runs": runs,
         "summary": summarize(runs, better),
