@@ -22,6 +22,7 @@ import numpy as np
 
 from .basis import BasisError, MonomialBasis, basis_from_config, build_basis
 from .geometry import (
+    DEFAULT_FEAS_TOL,
     FeasibilityStatus,
     load_moment_file,
     moments_to_dict,
@@ -31,6 +32,7 @@ from .measure import (
     DiscreteMeasure,
     MeasureFormatError,
     _is_json_number,
+    _open_text,
     load_measure,
     moment_vector,
 )
@@ -119,7 +121,8 @@ _OPTIONS = {
     "--weights": _Option("basis.degree_weights", _weights, None, "degree weights, e.g. 1,2"),
     "--tol": _Option("tol", _positive, 1e-8, "verification tolerance"),
     "--mass-tol": _Option("mass_tol", _positive, 1e-12, "mass conservation tolerance"),
-    "--feas-tol": _Option("feas_tol", _positive, 1e-9, "feasibility/certificate tolerance"),
+    "--feas-tol": _Option("feas_tol", _positive, DEFAULT_FEAS_TOL,
+                          "feasibility/certificate tolerance"),
     "--grid": _Option("grid", _text, ..., "candidate support grid file"),
     "--cubature": _Option("cubature", _text, ..., "cubature JSON file to verify"),
     "--seed": _Option("seed", _integer(0), 0, "generator seed"),
@@ -129,9 +132,9 @@ _OPTIONS = {
 
 
 def _read_json(path: str, what: str) -> dict:
-    """The JSON object in a UTF-8 file; a leading byte-order mark is accepted."""
+    """The JSON object in a file, decoded as measure files are."""
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
+        with _open_text(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc

@@ -26,12 +26,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .basis import MonomialBasis, MultiIndex, basis_from_config, build_basis, embed_block
-from .measure import DiscreteMeasure, _finite_or_none, _is_json_number
+from .measure import DiscreteMeasure, _finite_or_none, _is_json_number, _open_text
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
@@ -462,13 +461,10 @@ def moments_to_dict(basis: MonomialBasis, values) -> dict:
 def load_moment_file(source) -> tuple[MonomialBasis, dict[MultiIndex, float]]:
     """Read a moment file: {"basis": {...}, "moments": {"2,0": value, ...}}.
 
-    A path is read as UTF-8; a leading byte-order mark is accepted.
+    The source is a path, bytes or a file object, decoded as measure files are.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig") as fh:
-            data = json.load(fh)
-    else:
-        data = json.load(source)
+    with _open_text(source) as fh:
+        data = json.load(fh)
     if not isinstance(data, dict) or "basis" not in data or "moments" not in data:
         raise ValueError('moment file needs "basis" and "moments" entries')
     basis = basis_from_config(data["basis"])

@@ -15,8 +15,9 @@ line and is the definition of the format: every rule and every
 front of it, ``_load_csv_block`` parses the whole file in one
 ``np.loadtxt`` call and checks the rules on the resulting array.  It either
 returns exactly what the line parser would, or declines, and then the line
-parser reads the file from the start.  A leading UTF-8 byte-order mark, as
-spreadsheet exports write it, is dropped before either format is parsed.
+parser reads the file from the start.  ``_open_text`` decodes measure,
+moment, config and cubature text alike (UTF-8, a leading byte-order mark
+dropped).
 
 Array ownership: ``DiscreteMeasure(atoms, weights)`` copies its inputs, so
 a caller may go on writing to its own arrays.  ``load_measure`` builds the
@@ -158,23 +159,25 @@ def feature_count(features: Features) -> int:
     return features.size
 
 
-def _open_text(source: Union[str, Path, IO]):
+def _open_text(source: Union[str, Path, bytes, IO]):
     """A seekable text-file object for the source, which the caller closes.
 
-    Paths and bytes are decoded as UTF-8 with an optional leading
-    byte-order mark ("utf-8-sig"), which the decoder drops.  Every source
-    reads with universal newlines: "\n", "\r\n" and "\r" all end a line.
+    The one text decoder, for measure, moment, config and cubature files:
+    UTF-8 with an optional leading byte-order mark, universal newlines ("\n",
+    "\r\n" and "\r" all end a line).  Bytes, or what a file object's
+    ``read()`` returns (a str encoded first), are decoded as they are read
+    from one in-memory buffer, not copied whole.
     """
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8-sig")
-    if isinstance(source, (bytes, bytearray)):
-        return io.StringIO(source.decode("utf-8-sig"), newline=None)
-    if hasattr(source, "read"):
+        binary = open(source, "rb")
+    elif isinstance(source, (bytes, bytearray)):
+        binary = io.BytesIO(source)
+    elif hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8-sig")
-        return io.StringIO(data, newline=None)
-    raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
+        binary = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)
+    else:
+        raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
+    return io.TextIOWrapper(binary, encoding="utf-8-sig", newline=None)
 
 
 def _parses_as_float(cell: str) -> bool:
@@ -350,8 +353,9 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     The measure owns the arrays the parse produced: the array that
     ``np.loadtxt`` returned (atoms and weights are views of it), or the
     line parsers' flat buffers.  Nothing is copied, so the peak is about
-    the measure's own bytes (with a path source; a file object or bytes
-    are first read whole).  Both arrays are read-only.
+    1.2 times the measure's own bytes for a path, bytes or a binary file
+    object; a text file object's str is encoded first, which costs about
+    twice the text.  Both arrays are read-only.
     """
     with _open_text(source) as text_file:
         if fmt == "csv":
@@ -444,3 +448,9 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
         raise ValueError(f"{name} of the measure overflows the float range")
     values.setflags(write=False)
     return values
+
+
+def _relative_residuals(achieved: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """|achieved - target| / (1 + |target|) per moment: the residual that
+    ``reduce`` reports and ``verify_cubature`` judges by."""
+    return np.abs(achieved - target) / (1.0 + np.abs(target))

@@ -42,7 +42,8 @@ step is random, so reruns are identical.
 
 The public entry points are ``reduce`` and ``cubature_of_degree``.  The
 kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
-rescale are internal; the report carries the rescale as a dict.
+rescale (``_rescale``: two arrays, shift and scale) are internal; the
+report carries the rescale as a dict.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .measure import (
     Features,
     _feature_block,
     _finite_or_none,
+    _relative_residuals,
     feature_count,
     moment_vector,
 )
@@ -68,43 +70,28 @@ _EPS = np.finfo(float).eps
 _BLOCK = 16
 
 
-def _midpoint_halfwidth(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """0.5 * (lo + hi) and 0.5 * (hi - lo), finite for bounds up to the float
-    maximum.
+def _rescale(atoms: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(shift, scale, tol_factor) of the map x -> (x - shift) / scale that
+    sends the atoms' per-coordinate box [lo, hi] onto [-1, 1]^N.
 
-    Where the sum or difference overflows, each bound is halved first
-    instead; that is exact there, since such bounds are far above the
-    subnormal range.  Everywhere else, a constant subnormal coordinate
-    included, the plain formula is used, so lo == hi gives a midpoint of
-    exactly lo.
+    shift and half are 0.5 * (lo + hi) and 0.5 * (hi - lo), or, where those
+    overflow, the same of the halved bounds (exact there).  So lo == hi
+    gives a shift of exactly lo, subnormal or not; such a coordinate gets
+    scale 1 and maps to 0.  ``tol_factor`` >= 1 is how much the map
+    magnifies the eps * |x| rounding noise of a coordinate, the largest
+    (|shift| + half) / half; rank decisions must not resolve below it.
     """
+    lo = atoms.min(axis=0)
+    hi = atoms.max(axis=0)
     with np.errstate(over="ignore"):
-        mid = 0.5 * (lo + hi)
+        shift = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-    mid = np.where(np.isfinite(mid), mid, lo / 2 + hi / 2)
+    shift = np.where(np.isfinite(shift), shift, lo / 2 + hi / 2)
     half = np.where(np.isfinite(half), half, hi / 2 - lo / 2)
-    return mid, half
-
-
-@dataclass(frozen=True)
-class AffineRescale:
-    """Per-coordinate map x -> (x - shift) / scale used for conditioning."""
-
-    shift: np.ndarray
-    scale: np.ndarray
-
-    @classmethod
-    def from_bounds(cls, lo: np.ndarray, hi: np.ndarray) -> "AffineRescale":
-        """The map sending the per-coordinate box [lo, hi] onto [-1, 1]."""
-        shift, half = _midpoint_halfwidth(lo, hi)
-        scale = np.where(half > 0.0, half, 1.0)
-        return cls(shift=shift, scale=scale)
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        return (pts - self.shift) / self.scale
-
-    def to_dict(self) -> dict:
-        return {"shift": self.shift.tolist(), "scale": self.scale.tolist()}
+    live = half > 0.0
+    scale = np.where(live, half, 1.0)
+    amplification = (np.abs(shift) + half) / scale
+    return shift, scale, float(np.max(amplification, where=live, initial=1.0))
 
 
 @dataclass(frozen=True)
@@ -393,16 +380,18 @@ def _sweep(
 
 
 def _columns(
-    features: Features, pts: np.ndarray, offset: int, rescale: AffineRescale | None
+    features: Features, pts: np.ndarray, offset: int, rescale: tuple | None
 ) -> np.ndarray:
     """A fresh D x len(pts) block of the feature columns of ``pts``.
 
-    Points are rescaled first when ``rescale`` is given.  A dictionary's
-    errors name atom offset + k for the block's k-th point.
+    Points go through (x - shift) / scale first when ``rescale`` is given
+    as (shift, scale).  A dictionary's errors name atom offset + k for the
+    block's k-th point.
     """
-    return _feature_block(
-        features, pts if rescale is None else rescale.apply(pts), offset
-    )
+    if rescale is not None:
+        shift, scale = rescale
+        pts = (pts - shift) / scale
+    return _feature_block(features, pts, offset)
 
 
 def _per_atom(values: np.ndarray, bounds: np.ndarray, start: int, stop: int):
@@ -421,18 +410,19 @@ def _per_atom(values: np.ndarray, bounds: np.ndarray, start: int, stop: int):
 def _tree(
     measure: DiscreteMeasure,
     features: Features,
-    rescale: AffineRescale | None,
+    rescale: tuple | None,
     tol_factor: float,
     tracker: _SpanTracker,
 ):
     """Tree recombination over all atoms of ``measure``.
 
-    Returns (surviving atom indices, their weights, their feature columns,
-    elimination steps, factorizations, tree levels).  Between levels the
-    tree holds only the live atoms' weights and indices.  Each level
-    splits the live atoms into 2D contiguous groups and, block by block,
-    divides every weight by its group's mass in place, so shares lie in
-    [0, 1] and weights may span the float range, subnormals included.  It
+    ``rescale`` is ``_rescale``'s (shift, scale) arrays for a monomial
+    basis, or None.  Returns (surviving atom indices, their weights, their
+    feature columns, elimination steps, factorizations, tree levels).
+    Between levels the tree holds only the live atoms' weights and indices.
+    Each level splits the live atoms into 2D contiguous groups and, block by
+    block, divides every weight by its group's mass in place, so shares lie
+    in [0, 1] and weights may span the float range, subnormals included.  It
     builds each block's feature columns (in the rescaled coordinates, for a
     monomial basis) 4,096 atoms at a time, weights them by the shares in
     place and adds their per-group sums into the D x 2D group means.
@@ -441,10 +431,11 @@ def _tree(
     atoms whose weight underflows to 0 are dropped, and the survivors are
     moved to the front of the same arrays.  So no level allocates an array
     of one number per atom.  The first level also feeds ``tracker``, in
-    slices of 2D columns, so no pass is spent on the rank alone.  At most 2D atoms go to ``_sweep`` as the
-    base case, which is the only place columns outlive a block.  A level
-    whose group means cancel, so that no group can be removed, returns its
-    more than 2D atoms unreduced, with no weights or columns.
+    slices of 2D columns, so no pass is spent on the rank alone.  At most 2D
+    atoms go to ``_sweep`` as the base case, which is the only place columns
+    outlive a block.  A level whose group means cancel, so that no group can
+    be removed, returns its more than 2D atoms unreduced, with no weights or
+    columns.
     """
     dim = tracker.dim
     groups = 2 * dim
@@ -504,36 +495,20 @@ def _tree(
     return pos[sub], w, cols[:, sub], steps + s, factorizations + f, levels
 
 
-def _noise_amplification(lo: np.ndarray, hi: np.ndarray) -> float:
-    """How much the [-1, 1]^N rescale magnifies coordinate rounding noise.
-
-    ``lo`` and ``hi`` are the atoms' per-coordinate bounds.  Mapping x to
-    (x - shift) / half turns the eps * |x| uncertainty of a stored
-    coordinate into roughly eps * (|shift| + half) / half; rank decisions in
-    rescaled coordinates must not resolve below that.  Constant coordinates
-    map to exactly zero and do not contribute.
-    """
-    center, half = _midpoint_halfwidth(lo, hi)
-    live = half > 0.0
-    if not live.any():
-        return 1.0
-    return max(1.0, float(((np.abs(center[live]) + half[live]) / half[live]).max()))
-
-
 def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, ReductionReport]:
     """Compress a measure onto at most D of its atoms, moments preserved.
 
     D is the feature count.  Output nodes are original atoms (by index),
     weights are strictly positive, and every feature's weighted sum matches
-    the input measure's; the achieved max relative residual is recorded in
-    the report.
+    the input measure's; the achieved max relative residual, as
+    ``verify_cubature`` computes it, is recorded in the report.
 
-    One tree (``_tree``) runs over all atoms.  Feature columns (in
-    [-1, 1]^N coordinates for a monomial basis) are built 4,096 atoms at a
-    time and dropped after use, so extra memory is O(D * 4,096) plus the
-    tree's copy of the weights and its atom indices (two numbers per atom),
-    whatever the input size.  The output is
-    stated in original coordinates.
+    One tree (``_tree``) runs over all atoms, for a monomial basis in the
+    [-1, 1]^N coordinates of ``_rescale``'s two arrays, shift and scale.
+    Feature columns are built 4,096 atoms at a time and dropped after use,
+    so extra memory is O(D * 4,096) plus the tree's copy of the weights and
+    its atom indices (two numbers per atom), whatever the input size.  The
+    output is stated in original coordinates.
 
     Raises ValueError when a moment of the measure overflows the float
     range, and when the features' weighted sums cancel so that more than D
@@ -551,10 +526,8 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
                 f"basis expects {features.num_vars} coordinates, "
                 f"measure has {measure.num_vars}"
             )
-        lo = atoms.min(axis=0)
-        hi = atoms.max(axis=0)
-        rescale = AffineRescale.from_bounds(lo, hi)
-        tol_factor = _noise_amplification(lo, hi)
+        shift, scale, tol_factor = _rescale(atoms)
+        rescale = shift, scale
     # First, so that a measure whose moments overflow fails before the tree.
     target = moment_vector(measure, features)
 
@@ -575,7 +548,7 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         w = w * (measure.total_mass / math.fsum(w.tolist()))
     nodes = atoms[idx]
     achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features)
-    residual = float(np.max(np.abs(achieved - target) / (1.0 + np.abs(target))))
+    residual = float(_relative_residuals(achieved, target).max())
     svals = np.linalg.svd(cols, compute_uv=False)
 
     cubature = Cubature(
@@ -593,7 +566,9 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         # independent, so the detected rank is at least their count.
         detected_rank=max(tracker.rank, int(idx.shape[0])),
         max_moment_residual_rel=residual,
-        rescaling=rescale.to_dict() if rescale is not None else None,
+        rescaling=(
+            {"shift": shift.tolist(), "scale": scale.tolist()} if is_monomial else None
+        ),
         tree_levels=levels,
         rank_tol_factor=tol_factor,
         factorizations=factorizations,

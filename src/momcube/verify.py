@@ -3,8 +3,10 @@
 Everything is recomputed from scratch in original coordinates with
 compensated summation: this module must not inherit any state (rescaling,
 cached features) from the engine that produced the cubature, otherwise it
-would inherit its errors too.  ``verify_cubature`` takes no tolerance: its
-report carries the raw residuals and flags, and callers judge it with
+would inherit its errors too.  It shares only the residual function,
+``measure._relative_residuals``, a pure function of two moment vectors.
+``verify_cubature`` takes no tolerance: its report carries the raw
+residuals and flags, and callers judge it with
 ``VerificationReport.passes(tol, mass_tol)``.
 """
 
@@ -19,6 +21,7 @@ from .measure import (
     DiscreteMeasure,
     Features,
     _finite_or_none,
+    _relative_residuals,
     feature_count,
     moment_vector,
 )
@@ -88,7 +91,7 @@ def verify_cubature(
     # identity cubature compares bitwise equal and reports zero residual.
     node_measure = DiscreteMeasure(atoms=cubature.nodes, weights=cubature.weights)
     achieved = moment_vector(node_measure, features)
-    residual = np.abs(achieved - target) / (1.0 + np.abs(target))
+    residual = _relative_residuals(achieved, target)
 
     support_ok = bool(np.array_equal(cubature.nodes, measure.atoms[idx]))
     weights_positive = bool((cubature.weights > 0.0).all())

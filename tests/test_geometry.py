@@ -1,5 +1,6 @@
 """Tests for cone/hull membership and truncated moment feasibility."""
 
+import io
 import json
 
 import numpy as np
@@ -496,6 +497,16 @@ class TestMomentFiles:
         loaded_basis, loaded = load_moment_file(path)
         assert loaded_basis.indices == basis.indices
         assert loaded == {a: float(v) for a, v in zip(basis.indices, values)}
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO], ids=["bytes", "BytesIO"])
+    def test_in_memory_source_with_byte_order_mark(self, wrap):
+        # Decoded as measure files are: the BOM is dropped, "\r\n" ends lines.
+        basis = build_basis(1, [1], 2)
+        payload = moments_to_dict(basis, [1.0, 0.5, 0.25])
+        text = json.dumps(payload, indent=2).replace("\n", "\r\n")
+        loaded_basis, loaded = load_moment_file(wrap(b"\xef\xbb\xbf" + text.encode()))
+        assert loaded_basis.indices == basis.indices
+        assert loaded == {(0,): 1.0, (1,): 0.5, (2,): 0.25}
 
     def test_file_requires_blocks(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -739,35 +739,34 @@ class TestTreeMemory:
 
 
 class TestAffineRescale:
-    """The [-1, 1] rescale's midpoint and half-width are 0.5 * (lo + hi) and
+    """The [-1, 1] rescale's shift and half-width are 0.5 * (lo + hi) and
     0.5 * (hi - lo) wherever those are finite, and stay finite up to the
     float maximum."""
 
     def test_constant_subnormal_coordinate_maps_to_zero(self):
-        lo = hi = np.array([5e-324, -5e-324, 1.0])
-        rescale = momcube.recomb.AffineRescale.from_bounds(lo, hi)
-        assert rescale.shift.tolist() == lo.tolist()
-        assert rescale.apply(lo[None, :]).tolist() == [[0.0, 0.0, 0.0]]
-        assert momcube.recomb._noise_amplification(lo, hi) == 1.0
+        lo = np.array([5e-324, -5e-324, 1.0])
+        shift, scale, tol_factor = momcube.recomb._rescale(lo[None, :])
+        assert shift.tolist() == lo.tolist()
+        assert ((lo[None, :] - shift) / scale).tolist() == [[0.0, 0.0, 0.0]]
+        assert tol_factor == 1.0
 
     def test_finite_sums_give_the_plain_formula_bit_for_bit(self):
         lo = np.array([5e-324, -3.0, 1e-310, 0.1, -1e307])
         hi = np.array([1.5e-323, 7.0, 3e-310, 0.7, 1e307])
-        rescale = momcube.recomb.AffineRescale.from_bounds(lo, hi)
-        assert rescale.shift.tolist() == (0.5 * (lo + hi)).tolist()
-        assert rescale.scale.tolist() == (0.5 * (hi - lo)).tolist()
+        shift, scale, _ = momcube.recomb._rescale(np.stack([lo, hi]))
+        assert shift.tolist() == (0.5 * (lo + hi)).tolist()
+        assert scale.tolist() == (0.5 * (hi - lo)).tolist()
 
     def test_bounds_near_the_float_maximum_stay_finite(self):
         lo = np.array([1.6e308, -1.7e308])
         hi = np.array([1.7e308, 1.7e308])
         with np.errstate(all="raise"):
-            rescale = momcube.recomb.AffineRescale.from_bounds(lo, hi)
-            amplification = momcube.recomb._noise_amplification(lo, hi)
+            shift, scale, tol_factor = momcube.recomb._rescale(np.stack([lo, hi]))
         # Halving these bounds is exact, so only the final sum rounds.
-        assert rescale.shift.tolist() == (lo / 2 + hi / 2).tolist()
-        assert rescale.scale.tolist() == (hi / 2 - lo / 2).tolist()
-        assert 1.6e308 < rescale.shift[0] < 1.7e308 and rescale.scale[1] == 1.7e308
-        assert math.isfinite(amplification)
+        assert shift.tolist() == (lo / 2 + hi / 2).tolist()
+        assert scale.tolist() == (hi / 2 - lo / 2).tolist()
+        assert 1.6e308 < shift[0] < 1.7e308 and scale[1] == 1.7e308
+        assert math.isfinite(tol_factor)
 
 
 class TestCubatureOfDegree:
@@ -779,6 +778,9 @@ class TestCubatureOfDegree:
         verification = verify_cubature(measure, cubature, basis)
         assert verification.max_residual_rel <= 1e-10
         assert report.rescaling is not None
+        shift, scale, tol_factor = momcube.recomb._rescale(measure.atoms)
+        assert report.rescaling == {"shift": shift.tolist(), "scale": scale.tolist()}
+        assert report.rank_tol_factor == tol_factor
 
     def test_single_atom(self):
         measure = DiscreteMeasure(np.array([[7.0]]), np.array([3.0]))
