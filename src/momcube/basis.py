@@ -188,9 +188,18 @@ def embed_block(basis: MonomialBasis, points) -> np.ndarray:
     matrix cell.
     """
     pts = _validate_points(basis, points)
+    return _embed_into(np.empty((basis.dimension, pts.shape[0])), basis, pts)
+
+
+def _embed_into(out: np.ndarray, basis: MonomialBasis, pts: np.ndarray) -> np.ndarray:
+    """``embed_block`` of the (num_points, N) array ``pts``, unchecked,
+    written into the (dimension, num_points) array ``out``, which is returned.
+
+    Each column depends on its own point alone, so a point's column is the
+    same bits whichever block it is embedded in.
+    """
     coords = np.ascontiguousarray(pts.T)
-    values = np.empty((basis.dimension, pts.shape[0]))
-    values[0] = 1.0
+    out[0] = 1.0
     for j, (parent, coord) in enumerate(basis._recurrence, start=1):
-        np.multiply(values[parent], coords[coord], out=values[j])
-    return values
+        np.multiply(out[parent], coords[coord], out=out[j])
+    return out

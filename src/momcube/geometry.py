@@ -4,6 +4,10 @@ Whether a target vector lies in the cone (or convex hull) of a finite set
 of embedded points is the cone-membership form of Tchakaloff's theorem.
 It is decided by one Lawson-Hanson non-negative least-squares solve on
 the row-equilibrated system, with a hard cap on its outer iterations.
+That system is the one D x M array a query allocates: a grid is embedded
+straight into it and a caller's columns are copied into it once, it is
+equilibrated in place, and the re-checks after the solve read columns
+again (a grid's by embedding its points afresh) rather than keep a copy.
 The solver works on the passive set alone: each trial is one R-only QR
 of the passive columns and the target, a column enters only if its
 triangle passes the independence test, and the residual is formed from
@@ -29,8 +33,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MonomialBasis, MultiIndex, basis_from_config, build_basis, embed_block
-from .measure import DiscreteMeasure, _finite_or_none, _is_json_number, _open_text
+from .basis import (
+    MonomialBasis, MultiIndex, _embed_into, basis_from_config, build_basis, embed_block,
+)
+from .measure import (
+    _ATOM_BLOCK, DiscreteMeasure, _finite_or_none, _is_json_number, _open_text,
+)
 
 DEFAULT_FEAS_TOL = 1e-9
 DEFAULT_CERT_TOL = 1e-9
@@ -152,7 +160,14 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iterations: int):
     passive = np.zeros(0, dtype=np.intp)
     w = np.zeros(0)
     r = b.astype(float, copy=True)
-    tol = _EPS * float(np.abs(A).sum(axis=0).max(initial=0.0))
+    # The largest column 1-norm, summed one row at a time: the additions
+    # np.abs(A).sum(axis=0) makes, in its order, with no d x m temporary.
+    norms = np.zeros(m)
+    row_abs = np.empty(m)
+    for row in A:
+        norms += np.abs(row, out=row_abs)
+    tol = _EPS * float(norms.max(initial=0.0))
+    del norms, row_abs
     stall = 100.0 * d * _EPS * float(np.linalg.norm(b))
 
     def solve(cols, entering=False):
@@ -239,53 +254,74 @@ def _stall_entry(A: np.ndarray, passive: np.ndarray, r: np.ndarray, grad: np.nda
 
 def _decide_membership(
     target: np.ndarray,
-    columns: np.ndarray,
+    num_columns: int,
+    columns,
     feas_tol: float,
     cert_tol: float,
     max_iterations: int | None,
     hull: bool,
 ) -> FeasibilityResult:
-    """Certified membership of target in cone(columns), or with ``hull`` in
-    their convex hull.
+    """Certified membership of target in the cone of the feature columns, or
+    with ``hull`` in their convex hull.
 
-    The hull constraint is a row of ones with right-hand side 1, written
-    straight into the equilibrated system.  One Lawson-Hanson NNLS solve
-    on the row-equilibrated system answers both ways.  A zero residual
-    gives the witness: the passive set, whose columns the entry test keeps
-    independent, so at most D of them, with its weights.  It is re-checked
-    on those columns in the original coordinates.  A nonzero optimal
-    residual r has A^T r <= 0 and b . r = |r|^2 > 0, so r, mapped back to
-    the original rows, is itself a Farkas functional; it is re-checked
-    against every column.  Anything that passes neither re-check is
-    Indeterminate.
+    ``columns(index, out=None)`` gives the raw D x k feature columns at
+    ``index``, a slice or an index array of the ``num_columns`` columns,
+    written into ``out`` when it is given.  The row-equilibrated system is
+    the one D x M array this function allocates: the columns are written
+    straight into its first D rows, checked finite and scaled there in
+    place, and the hull constraint, a row of ones with right-hand side 1,
+    goes below them.  One Lawson-Hanson NNLS solve on that system answers
+    both ways, and the system is freed before the re-checks.  A zero
+    residual gives the witness: the passive set, whose columns the entry
+    test keeps independent, so at most D of them, with its weights.  It is
+    re-checked on those columns alone, in the original coordinates.  A
+    nonzero optimal residual r has A^T r <= 0 and b . r = |r|^2 > 0, so r,
+    mapped back to the original rows, is itself a Farkas functional; it is
+    re-checked against every column, ``_ATOM_BLOCK`` columns at a time.
+    Anything that passes neither re-check is Indeterminate.
     """
-    d, m = columns.shape
-    rows = d + hull
+    d = target.shape[0]
+    m = num_columns
     if max_iterations is None:
-        max_iterations = 50 * (rows + m)
+        max_iterations = 50 * (d + hull + m)
 
-    # Row equilibration: scale each constraint to unit magnitude.  With no
-    # columns there is nothing to equilibrate against; unit scales then make
-    # the certificate of a nonzero target the normalized target itself.
-    row_mag = np.maximum(np.abs(columns).max(axis=1, initial=0.0), np.abs(target))
+    system = np.empty((d + hull, m))
+    columns(slice(None), out=system[:d])
+    # Row equilibration: scale each constraint to unit magnitude.  A row's
+    # magnitude max(max, -min) is its largest |entry| exactly, and inf or
+    # nan in a row makes it non-finite.  With no columns there is nothing to
+    # equilibrate against; unit scales then make the certificate of a
+    # nonzero target the normalized target itself.  (A SIMD max or min over
+    # a nan may raise the invalid flag; the check below is what decides.)
+    with np.errstate(invalid="ignore"):
+        row_mag = np.maximum(
+            system[:d].max(axis=1, initial=0.0), -system[:d].min(axis=1, initial=0.0)
+        )
+    if not np.isfinite(row_mag).all():
+        raise ValueError("feature columns must be finite")
+    row_mag = np.maximum(row_mag, np.abs(target))
     row_scale = np.where((row_mag > 0.0) & (m > 0), row_mag, 1.0)
     scale = 1.0 / row_scale
-    a_eq = np.empty((rows, m))
-    np.multiply(columns, scale[:, None], out=a_eq[:d])
+    system[:d] *= scale[:, None]
     b_eq = target * scale
     if hull:
-        a_eq[d] = 1.0
+        system[d] = 1.0
         scale = np.append(scale, 1.0)
         b_eq = np.append(b_eq, 1.0)
 
-    x, r, iterations, converged = _nnls(a_eq, b_eq, max_iterations)
+    x, r, iterations, converged = _nnls(system, b_eq, max_iterations)
+    del system
     if not converged:
         return FeasibilityResult(
             FeasibilityStatus.INDETERMINATE, iterations=iterations, reason="iteration_limit"
         )
 
     support = np.flatnonzero(x)
-    error = np.abs(columns[:, support] @ x[support] - target)
+    # Fortran order fixes the product's summation order, so a held matrix
+    # (whose column gather numpy returns in that order) and a grid embedded
+    # afresh give the same residual bits.
+    achieved = np.asfortranarray(columns(support)) @ x[support]
+    error = np.abs(achieved - target)
     if hull:
         error = np.append(error, abs(x[support].sum() - 1.0))
     residual = float(error.max(initial=0.0))
@@ -301,7 +337,12 @@ def _decide_membership(
         certificate = SeparatingFunctional(
             normal=functional[:d], offset=-float(functional[d]) if hull else 0.0
         )
-        if certificate.is_valid(columns, target, cert_tol):
+        # One block at least, so that with no columns the margin still decides.
+        blocks = range(0, max(m, 1), _ATOM_BLOCK)
+        if all(
+            certificate.is_valid(columns(slice(start, start + _ATOM_BLOCK)), target, cert_tol)
+            for start in blocks
+        ):
             return FeasibilityResult(
                 FeasibilityStatus.INFEASIBLE,
                 certificate=certificate,
@@ -324,15 +365,22 @@ def _as_target(moments) -> np.ndarray:
     return target
 
 
-def _as_columns(columns, dim: int) -> np.ndarray:
+def _held_columns(columns, dim: int):
+    """``_decide_membership``'s reader of a (dim, M) matrix the caller holds:
+    views of it, or copies into ``out``.  Finiteness is checked there."""
     cols = np.asarray(columns, dtype=float)
     if cols.ndim != 2 or cols.shape[0] != dim:
         raise ValueError(
             f"expected a ({dim}, M) column matrix, got shape {cols.shape}"
         )
-    if not np.isfinite(cols).all():
-        raise ValueError("feature columns must be finite")
-    return cols
+
+    def read(index, out=None):
+        if out is None:
+            return cols[:, index]
+        out[...] = cols[:, index]
+        return out
+
+    return cols.shape[1], read
 
 
 def cone_membership(
@@ -348,8 +396,10 @@ def cone_membership(
     Infeasible results carry a homogeneous separating functional (offset 0).
     """
     target = _as_target(moments)
-    cols = _as_columns(columns, target.shape[0])
-    return _decide_membership(target, cols, feas_tol, cert_tol, max_iterations, hull=False)
+    num_columns, read = _held_columns(columns, target.shape[0])
+    return _decide_membership(
+        target, num_columns, read, feas_tol, cert_tol, max_iterations, hull=False
+    )
 
 
 def hull_membership(
@@ -369,8 +419,10 @@ def hull_membership(
         raise ValueError(
             f"hull membership requires a normalized target (entry 0 == 1), got {target[0]!r}"
         )
-    cols = _as_columns(columns, target.shape[0])
-    return _decide_membership(target, cols, feas_tol, cert_tol, max_iterations, hull=True)
+    num_columns, read = _held_columns(columns, target.shape[0])
+    return _decide_membership(
+        target, num_columns, read, feas_tol, cert_tol, max_iterations, hull=True
+    )
 
 
 def truncated_moment_feasible(
@@ -420,9 +472,20 @@ def truncated_moment_feasible(
     if not np.isfinite(points).all():
         raise ValueError("grid points must be finite")
 
-    target = np.array([values[a] for a in basis.indices]) / mass
-    columns = embed_block(basis, points)
-    result = hull_membership(target, columns, feas_tol, cert_tol, max_iterations)
+    # Entry 0 is mass / mass, exactly 1, as hull membership requires.
+    target = _as_target(np.array([values[a] for a in basis.indices]) / mass)
+
+    def embedded(index, out=None):
+        if out is None:
+            return embed_block(basis, points[index])
+        # Overflow shows as inf (or inf * 0 = nan) in the system, which
+        # _decide_membership refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _embed_into(out, basis, points[index])
+
+    result = _decide_membership(
+        target, points.shape[0], embedded, feas_tol, cert_tol, max_iterations, hull=True
+    )
     if result.status is not FeasibilityStatus.FEASIBLE:
         return result, None
 

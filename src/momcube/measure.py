@@ -48,6 +48,9 @@ from .basis import MonomialBasis, embed_block
 # so the node sets, of a reduction.
 _ATOM_BLOCK = 4096
 
+# Characters per read when ``_open_text`` encodes a text file object.
+_TEXT_CHUNK = 1 << 16
+
 
 class MeasureFormatError(ValueError):
     """Malformed measure input; messages carry 1-based line numbers."""
@@ -166,12 +169,19 @@ def _open_text(source: Union[str, Path, bytes, IO]):
     UTF-8 with an optional leading byte-order mark, universal newlines ("\n",
     "\r\n" and "\r" all end a line).  Bytes, or what a file object's
     ``read()`` returns (a str encoded first), are decoded as they are read
-    from one in-memory buffer, not copied whole.
+    from one in-memory buffer, not copied whole.  A text file object is
+    read and encoded ``_TEXT_CHUNK`` characters at a time, so its text and
+    the encoding are never both held whole.
     """
     if isinstance(source, (str, Path)):
         binary = open(source, "rb")
     elif isinstance(source, (bytes, bytearray)):
         binary = io.BytesIO(source)
+    elif isinstance(source, io.TextIOBase):
+        binary = io.BytesIO()
+        while chunk := source.read(_TEXT_CHUNK):
+            binary.write(chunk.encode("utf-8"))
+        binary.seek(0)
     elif hasattr(source, "read"):
         data = source.read()
         binary = io.BytesIO(data.encode("utf-8") if isinstance(data, str) else data)

@@ -96,6 +96,56 @@ def hull_member_bruteforce(target, columns, tol=1e-9):
     return cone_member_bruteforce(lifted_target, lifted, tol)
 
 
+def hankel_matrix(moments):
+    """The (k+1) x (k+1) Hankel matrix [y_(i+j)] of 1-D moments y_0 .. y_2k."""
+    y = np.asarray(moments, dtype=float)
+    k = (y.size - 1) // 2
+    return np.array([[y[i + j] for j in range(k + 1)] for i in range(k + 1)])
+
+
+def localizing_matrix(moments, a, b):
+    """The k x k localizing matrix of y_0 .. y_2k for (x - a)(b - x) >= 0:
+    the Riesz functional of (x - a)(b - x) x^(i+j), entry by entry."""
+    y = np.asarray(moments, dtype=float)
+    k = (y.size - 1) // 2
+    return np.array([
+        [(a + b) * y[i + j + 1] - y[i + j + 2] - a * b * y[i + j] for j in range(k)]
+        for i in range(k)
+    ])
+
+
+def _psd_side(matrices, margin):
+    smallest = min(np.linalg.eigvalsh(m)[0] for m in matrices)
+    if smallest >= margin:
+        return True
+    if smallest <= -margin:
+        return False
+    return None
+
+
+def line_moment_vector(moments, margin):
+    """Whether 1-D moments y_0 .. y_2k are those of a measure on R.
+
+    Hamburger: a positive definite Hankel matrix makes y a moment vector,
+    and one that is not positive semidefinite rules it out (Curto & Fialkow
+    1991).  True when the smallest eigenvalue is at least ``margin``, False
+    when it is at most -``margin``, None in between.
+    """
+    return _psd_side([hankel_matrix(moments)], margin)
+
+
+def interval_moment_vector(moments, a, b, margin):
+    """Whether 1-D moments y_0 .. y_2k are those of a measure on [a, b].
+
+    Truncated Hausdorff: y is a moment vector when its Hankel matrix and
+    its localizing matrix for (x - a)(b - x) are both positive semidefinite
+    (Curto & Fialkow 1991; Schmuedgen, The Moment Problem, 2017).  True when
+    both smallest eigenvalues are at least ``margin``, False when one is at
+    most -``margin``, None in between.
+    """
+    return _psd_side([hankel_matrix(moments), localizing_matrix(moments, a, b)], margin)
+
+
 def gaussian_moment(exponents):
     """E[x^alpha] for the standard normal N(0, I) on R^N, in closed form.
 

@@ -2,9 +2,13 @@
 
 import io
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momcube import (
     DiscreteMeasure,
@@ -28,7 +32,13 @@ from momcube.geometry import (
     moment_key,
     parse_moment_key,
 )
-from oracles import cone_member_bruteforce, fsum_moments, hull_member_bruteforce
+from oracles import (
+    cone_member_bruteforce,
+    fsum_moments,
+    hull_member_bruteforce,
+    interval_moment_vector,
+    line_moment_vector,
+)
 
 
 def _grid_columns(points, max_degree):
@@ -366,6 +376,133 @@ class TestDegenerateGrids:
         )
         assert result.status is FeasibilityStatus.INDETERMINATE and witness is None
         assert result.reason == "iteration_limit" and result.iterations == 1
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFeasibilityMemory:
+    """A query's traced peak is about its one (D+1) x M equilibrated system.
+    Grids, columns and targets are built before tracing starts."""
+
+    degree = 6
+
+    @pytest.fixture(scope="class")
+    def query(self):
+        rng = np.random.default_rng(101)
+        grid = rng.uniform(-1.0, 1.0, (10_000, 2))
+        basis = build_basis(2, None, self.degree)
+        inside = grid[rng.choice(grid.shape[0], 100, replace=False)]
+        outside = rng.uniform(-1.0, 1.0, (10, 2))
+        outside[:, 0] = rng.uniform(1.2, 2.0, 10)
+        targets = {
+            FeasibilityStatus.FEASIBLE: _moments(basis, inside, rng.uniform(0.1, 2.0, 100)),
+            FeasibilityStatus.INFEASIBLE: _moments(basis, outside, rng.uniform(0.1, 2.0, 10)),
+        }
+        system_bytes = (basis.dimension + 1) * grid.shape[0] * 8
+        return grid, basis, targets, system_bytes
+
+    @pytest.mark.parametrize(
+        "status", [FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE], ids=lambda s: s.value
+    )
+    def test_grid_query_peak_is_about_the_system(self, query, status):
+        # The embedded columns, their equilibrated copy and np.abs
+        # temporaries made this 3.0x.
+        grid, _, targets, system_bytes = query
+        (result, _), peak = _traced_peak(
+            lambda: truncated_moment_feasible(targets[status], grid, 2, None, self.degree)
+        )
+        assert result.status is status
+        assert peak <= 1.2 * system_bytes, peak / system_bytes
+
+    @pytest.mark.parametrize(
+        "status", [FeasibilityStatus.FEASIBLE, FeasibilityStatus.INFEASIBLE], ids=lambda s: s.value
+    )
+    def test_held_columns_peak_is_about_the_system(self, query, status):
+        # The finiteness mask and np.abs temporaries made this 2.0x.
+        grid, basis, targets, system_bytes = query
+        columns = embed_block(basis, grid)
+        target = np.array([targets[status][a] for a in basis.indices])
+        target /= target[0]
+        result, peak = _traced_peak(lambda: hull_membership(target, columns))
+        assert result.status is status
+        assert peak <= 1.2 * system_bytes, peak / system_bytes
+
+    def test_overflowing_grid_point_is_refused_without_a_warning(self, query):
+        # 1e60 ** 6 overflows; the embedding used to warn before the
+        # finiteness check refused it.
+        grid, _, targets, _ = query
+        grid = grid.copy()
+        grid[17, 1] = 1e60
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="feature columns must be finite"):
+                truncated_moment_feasible(
+                    targets[FeasibilityStatus.FEASIBLE], grid, 2, None, self.degree
+                )
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("decide", [cone_membership, hull_membership])
+    def test_non_finite_held_column_is_refused(self, decide, bad):
+        _, columns = _grid_columns([-1.0, 0.0, 1.0], 2)
+        columns[2, 1] = bad
+        with pytest.raises(ValueError, match="feature columns must be finite"):
+            decide(np.array([1.0, 0.0, 0.5]), columns)
+
+
+class TestIntervalOracle:
+    """Verdicts on a fine grid of [-1, 1] against the closed-form 1-D answer.
+
+    The family: 5-atom probability measures in [-1, 1], with one moment of
+    degree 2-6 moved by +-10^U(-8, -1), decided at m = 6 on 2,001 points.
+    A FEASIBLE witness is a measure on the grid whose moments are within
+    feas_tol (1 + max|y|) <= 2.2e-9 of the target; moving y that far moves
+    the 4 x 4 Hankel and 3 x 3 localizing eigenvalues by at most 4 and 6
+    times that, below 1.4e-8.  So a target outside by the margin can never
+    be FEASIBLE.  Inside, the grid is fine enough that it is.
+    """
+
+    margin = 2e-8
+    grid = np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
+
+    def test_oracle_tells_the_interval_from_the_line(self):
+        atoms = np.array([-0.9, -0.3, 0.2, 0.6, 0.95])
+        weights = np.full(5, 0.2)
+        inside = fsum_moments(atoms.reshape(-1, 1), weights, [(j,) for j in range(7)])
+        assert interval_moment_vector(inside, -1.0, 1.0, self.margin) is True
+        assert line_moment_vector(inside, self.margin) is True
+        atoms[-1] = 1.5
+        beyond = fsum_moments(atoms.reshape(-1, 1), weights, [(j,) for j in range(7)])
+        assert interval_moment_vector(beyond, -1.0, 1.0, self.margin) is False
+        assert line_moment_vector(beyond, self.margin) is True
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 6),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(-8.0, -1.0),
+    )
+    def test_verdict_agrees_with_the_oracle(self, seed, degree, sign, exponent):
+        rng = np.random.default_rng(seed)
+        atoms = rng.uniform(-1.0, 1.0, (5, 1))
+        weights = rng.uniform(0.1, 2.0, 5)
+        weights /= weights.sum()
+        target = fsum_moments(atoms, weights, [(j,) for j in range(7)])
+        target[degree] += sign * 10.0**exponent
+        inside = interval_moment_vector(target, -1.0, 1.0, self.margin)
+        moments = {(j,): float(v) for j, v in enumerate(target)}
+        result, _ = truncated_moment_feasible(moments, self.grid, 1, None, 6)
+        if inside is True:
+            assert result.status is FeasibilityStatus.FEASIBLE, result
+        elif inside is False:
+            assert result.status is not FeasibilityStatus.FEASIBLE, result
 
 
 class TestIndeterminateReasons:
