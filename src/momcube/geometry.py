@@ -472,8 +472,11 @@ def truncated_moment_feasible(
     if not np.isfinite(points).all():
         raise ValueError("grid points must be finite")
 
-    # Entry 0 is mass / mass, exactly 1, as hull membership requires.
-    target = _as_target(np.array([values[a] for a in basis.indices]) / mass)
+    # Entry 0 is mass / mass, exactly 1, as hull membership requires.  A
+    # quotient beyond the float range is inf, which _as_target refuses.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = np.array([values[a] for a in basis.indices]) / mass
+    target = _as_target(scaled)
 
     def embedded(index, out=None):
         if out is None:

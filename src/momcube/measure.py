@@ -9,15 +9,23 @@ the block sums go through a Neumaier (compensated) update, so exactness
 tests survive atom counts in the millions, reruns are bit-identical, and a
 pass holds one D x 4,096 block at a time whatever the atom count.
 
+Passes go over a measure once, in order, in blocks of ``_READ_BLOCK``
+(32,768) rows: ``_read_blocks`` yields them from a file, and ``_views``
+from an in-memory measure.  ``_MomentSums`` accumulates the moments, the
+exact mass and the atom count over such blocks; ``moment_vector`` is that
+accumulator fed by views, and the CLI feeds the same accumulator from the
+reader, so neither holds the whole measure.  ``load_measure`` is the same
+reader with no row limit: one block, the whole file.
+
 CSV ingest has two paths over the same text.  ``_parse_csv`` reads line by
 line and is the definition of the format: every rule and every
 ``MeasureFormatError`` message, with its line number, comes from it.  In
-front of it, ``_load_csv_block`` parses the whole file in one
+front of it, ``_load_csv_block`` parses a block of rows in one
 ``np.loadtxt`` call and checks the rules on the resulting array.  It either
 returns exactly what the line parser would, or declines, and then the line
-parser reads the file from the start.  ``_open_text`` decodes measure,
-moment, config and cubature text alike (UTF-8, a leading byte-order mark
-dropped).
+parser reads the file from the start, skipping the rows already delivered.
+``_open_text`` decodes measure, moment, config and cubature text alike
+(UTF-8, a leading byte-order mark dropped).
 
 Array ownership: ``DiscreteMeasure(atoms, weights)`` copies its inputs, so
 a caller may go on writing to its own arrays.  ``load_measure`` builds the
@@ -33,10 +41,11 @@ import io
 import itertools
 import json
 import math
+import warnings
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, IO, Union
+from typing import Callable, IO, Iterator, Union
 
 import numpy as np
 
@@ -47,6 +56,16 @@ from .basis import MonomialBasis, embed_block
 # enough to amortise the per-block calls.  It fixes the summation order, and
 # so the node sets, of a reduction.
 _ATOM_BLOCK = 4096
+
+# Rows per block of a pass over a measure: the reader's blocks, and the
+# views that the moment, verification and reduction passes take of an
+# in-memory measure.  A multiple of _ATOM_BLOCK, so a pass sums the same
+# 4,096-atom blocks whether the measure comes whole or in pieces.
+_READ_BLOCK = 8 * _ATOM_BLOCK
+
+# A positive double is m * 2**(e - 53), with m < 2**53 a whole number and
+# e >= -1073 (np.frexp), so it is a whole number of units of 2**-1126.
+_MASS_UNIT_EXP = 1126
 
 # Characters per read when ``_open_text`` encodes a text file object.
 _TEXT_CHUNK = 1 << 16
@@ -104,16 +123,46 @@ class DiscreteMeasure:
 
     @property
     def total_mass(self) -> float:
-        """The correctly rounded sum of the weights.
+        """The correctly rounded sum of the weights, ``math.fsum``'s value.
 
-        ``math.fsum`` takes the weights one 4,096-weight block's list at a
-        time, so the pass holds 4,096 Python floats, not one per atom.
+        The weights are summed exactly, 4,096 at a time (``_mass_units``),
+        so the pass holds no Python float per atom.
         """
-        blocks = (
-            self.weights[start:start + _ATOM_BLOCK].tolist()
+        units = sum(
+            _mass_units(self.weights[start:start + _ATOM_BLOCK])
             for start in range(0, self.num_atoms, _ATOM_BLOCK)
         )
-        return math.fsum(itertools.chain.from_iterable(blocks))
+        return _mass_value(units)
+
+
+def _mass_units(weights: np.ndarray) -> int:
+    """The exact sum of positive finite weights, in units of 2**-1126.
+
+    Each weight's 53-bit mantissa is split into its high 27 and low 26 bits,
+    and each part is summed per binary exponent by a float64
+    ``np.bincount``, which is exact while a call takes fewer than 2**26
+    weights.  Python integers add up the per-exponent sums.
+    """
+    frac, exp = np.frexp(weights)
+    frac *= 2.0**53
+    mant = frac.astype(np.int64)
+    low = int(exp.min())
+    exp -= low
+    high = np.bincount(exp, weights=mant >> 26)
+    mant &= (1 << 26) - 1
+    rest = np.bincount(exp, weights=mant)
+    units = 0
+    for shift in np.flatnonzero(high + rest).tolist():
+        units += ((int(high[shift]) << 26) + int(rest[shift])) << shift
+    return units << (low - 53 + _MASS_UNIT_EXP)
+
+
+def _mass_value(units: int) -> float:
+    """The correctly rounded float of ``_mass_units``'s exact sum: the
+    value of ``math.fsum`` over the same weights.  Python's int division
+    rounds correctly; a sum beyond the float range raises OverflowError, as
+    ``math.fsum`` does."""
+    return units / (1 << _MASS_UNIT_EXP)
 
 
 def _owned_measure(atoms: np.ndarray, weights: np.ndarray) -> DiscreteMeasure:
@@ -218,7 +267,22 @@ def _finite_or_none(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
-def _parse_csv(text_file, num_vars):
+def _flat_block(atoms: array, weights: array):
+    """(atoms, weights) arrays over a line parser's flat buffers, no copy."""
+    return (
+        np.frombuffer(atoms, dtype=float).reshape(len(weights), -1),
+        np.frombuffer(weights, dtype=float),
+    )
+
+
+def _parse_csv(text_file, num_vars, rows=None, skip=0):
+    """(atoms, weights) blocks of ``rows`` rows (the last may be shorter;
+    None: one block of all rows), read line by line from the start.
+
+    Every line is checked; the first ``skip`` data rows, which the block
+    parse has already delivered, are not yielded again.  Rows are appended
+    flat, one float per cell, so no Python object per row outlives its line.
+    """
     atoms = array("d")
     weights = array("d")
     ncols = None
@@ -242,70 +306,108 @@ def _parse_csv(text_file, num_vars):
             )
         if any(not math.isfinite(v) for v in row):
             raise MeasureFormatError(f"line {lineno}: non-finite value")
+        w = 1.0
         if num_vars is not None:
             if ncols == num_vars + 1:
-                w = row[-1]
+                w = row.pop()
                 if w <= 0.0:
                     raise MeasureFormatError(f"line {lineno}: non-positive weight {w}")
-                atoms.extend(row[:-1])
-                weights.append(w)
-                continue
-            if ncols != num_vars:
+            elif ncols != num_vars:
                 raise MeasureFormatError(
                     f"line {lineno}: expected {num_vars} coordinate columns "
                     f"(+ optional weight), got {ncols}"
                 )
+        if skip:
+            skip -= 1
+            continue
         atoms.extend(row)
-        weights.append(1.0)
-    return atoms, weights
+        weights.append(w)
+        if len(weights) == rows:
+            yield _flat_block(atoms, weights)
+            atoms = array("d")
+            weights = array("d")
+    if weights:
+        yield _flat_block(atoms, weights)
 
 
-def _load_csv_block(text_file, num_vars):
-    """(atoms, weights) from one ``np.loadtxt`` call, or None to decline.
+def _load_csv_block(text_file, num_vars, rows=None, width=None):
+    """The next block of at most ``rows`` data rows (None: all that are
+    left) from one ``np.loadtxt`` call, as (atoms, weights, width), or None
+    to decline.
 
-    Blank lines and a header (by ``_parse_csv``'s rule: a first non-blank
-    line in which no cell parses as a float) are skipped here, so
-    ``loadtxt`` starts at the first data line and reads the rest of the file
-    in one block; the rules are then checked on the array.  ``loadtxt``
-    refuses a superset of what ``float()`` refuses (underscores, non-ASCII
-    digits, whitespace-only lines, empty, quoted or ``#`` cells), and where
-    both accept a cell they give the same double.  So any input this
-    returns None for (a refusal, no data or a broken rule) is left to the
-    line parser, which accepts it or names the offending line.
+    The first block (``width`` None) starts after blank lines and a header
+    (by ``_parse_csv``'s rule: a first non-blank line in which no cell
+    parses as a float); a later block must have the first block's
+    ``width`` columns, and is empty at the end of the file.  The rules are
+    checked on the array.  ``loadtxt`` refuses a superset of what
+    ``float()`` refuses (underscores, non-ASCII digits, whitespace-only
+    lines, empty, quoted or ``#`` cells), and where both accept a cell they
+    give the same double.  So any input this returns None for (a refusal, a
+    first block with no data, or a broken rule) is left to the line parser,
+    which accepts it or names the offending line.
     """
     header = None  # the header's width, once one is seen
     while True:
-        # readline, not iteration: tell() is unavailable on a text file
-        # while it is being iterated.
-        start = text_file.tell()
         line = text_file.readline()
         if not line:
-            return None
+            if width is None:
+                return None
+            return np.empty((0, width)), np.empty(0), width
         if not line.strip():
             continue
+        if width is not None or header is not None:
+            break
         cells = [c.strip() for c in line.strip().split(",")]
-        if header is not None or any(map(_parses_as_float, cells)):
+        if any(map(_parses_as_float, cells)):
             break
         header = len(cells)
-    text_file.seek(start)
     try:
-        # comments=None: "#" is a non-numeric value, not a comment.
-        data = np.loadtxt(text_file, delimiter=",", comments=None, ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # With max_rows, numpy >= 1.23 warns that blank lines no longer
+            # count as rows; the line parser does not count them either.
+            warnings.simplefilter("ignore", UserWarning)
+            # The line in hand, then the file from where it stopped: loadtxt
+            # iterates a file's lines, so the next call starts at the next
+            # row.  comments=None: "#" is a non-numeric value, not a comment.
+            data = np.loadtxt(
+                itertools.chain([line], text_file), delimiter=",", comments=None,
+                ndmin=2, dtype=float, max_rows=rows,
+            )
     except ValueError:
         return None
     ncols = data.shape[1]
-    if header is not None and ncols != header:
+    expected = header if width is None else width
+    if expected is not None and ncols != expected:
         return None
     if not np.isfinite(data).all():
         return None
     if num_vars is None or ncols == num_vars:
-        return data, np.ones(data.shape[0])
+        return data, np.ones(data.shape[0]), ncols
     if ncols != num_vars + 1 or not (data[:, -1] > 0.0).all():
         return None
-    return data[:, :-1], data[:, -1]
+    return data[:, :-1], data[:, -1], ncols
 
 
-def _parse_jsonl(text_file, num_vars):
+def _csv_blocks(text_file, num_vars, rows):
+    """``_load_csv_block``'s blocks until the end of the file; after a
+    decline, the line parser's, from where the block parse stopped."""
+    width = None
+    delivered = 0
+    while (block := _load_csv_block(text_file, num_vars, rows, width)) is not None:
+        atoms, weights, width = block
+        if not weights.shape[0]:
+            return
+        delivered += weights.shape[0]
+        yield atoms, weights
+    # tell() is unavailable once a text file has been iterated, so the line
+    # parser starts over; it is the only source of errors and line numbers.
+    text_file.seek(0)
+    yield from _parse_csv(text_file, num_vars, rows, skip=delivered)
+
+
+def _parse_jsonl(text_file, num_vars, rows=None):
+    """(atoms, weights) blocks of ``rows`` rows (None: one block), as
+    ``_parse_csv`` yields them."""
     atoms = array("d")
     weights = array("d")
     n = num_vars
@@ -341,7 +443,46 @@ def _parse_jsonl(text_file, num_vars):
             raise MeasureFormatError(f"line {lineno}: non-positive weight {w!r}")
         atoms.extend(row)
         weights.append(w)
-    return atoms, weights
+        if len(weights) == rows:
+            yield _flat_block(atoms, weights)
+            atoms = array("d")
+            weights = array("d")
+    if weights:
+        yield _flat_block(atoms, weights)
+
+
+def _read_blocks(
+    source, fmt: str = "csv", num_vars: int | None = None, rows: int | None = _READ_BLOCK
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """A measure file's (atoms, weights) blocks, read once and in order.
+
+    Every block but the last has ``rows`` rows; None reads the whole file
+    as one block.  The rules and messages are ``load_measure``'s, and a
+    block is only yielded once its rows have passed them, so a fault on a
+    later line is raised after the blocks before it.  Raises
+    MeasureFormatError("no atoms in input") when the file has no rows.
+    """
+    with _open_text(source) as text_file:
+        if fmt == "csv":
+            blocks = _csv_blocks(text_file, num_vars, rows)
+        elif fmt == "jsonl":
+            blocks = _parse_jsonl(text_file, num_vars, rows)
+        else:
+            raise MeasureFormatError(f"unknown format {fmt!r} (expected csv or jsonl)")
+        empty = True
+        for block in blocks:
+            empty = False
+            yield block
+    if empty:
+        raise MeasureFormatError("no atoms in input")
+
+
+def _views(measure: "DiscreteMeasure") -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """An in-memory measure's (atoms, weights) as views of ``_READ_BLOCK``
+    rows, in order: the blocks ``_read_blocks`` gives for its file."""
+    for start in range(0, measure.num_atoms, _READ_BLOCK):
+        stop = start + _READ_BLOCK
+        yield measure.atoms[start:stop], measure.weights[start:stop]
 
 
 def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> DiscreteMeasure:
@@ -358,7 +499,7 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     A CSV file is parsed in one vectorised block when it follows the rules;
     otherwise it is read again by the line parser, which is the only source
     of format errors, so messages and line numbers do not depend on the
-    path taken.
+    path taken.  This is the reader of the CLI's passes with no row limit.
 
     The measure owns the arrays the parse produced: the array that
     ``np.loadtxt`` returned (atoms and weights are views of it), or the
@@ -367,25 +508,8 @@ def load_measure(source, fmt: str = "csv", num_vars: int | None = None) -> Discr
     object; a text file object's str is encoded first, which costs about
     twice the text.  Both arrays are read-only.
     """
-    with _open_text(source) as text_file:
-        if fmt == "csv":
-            block = _load_csv_block(text_file, num_vars)
-            if block is not None:
-                return _owned_measure(*block)
-            text_file.seek(0)
-            atoms, weights = _parse_csv(text_file, num_vars)
-        elif fmt == "jsonl":
-            atoms, weights = _parse_jsonl(text_file, num_vars)
-        else:
-            raise MeasureFormatError(f"unknown format {fmt!r} (expected csv or jsonl)")
-    if not weights:
-        raise MeasureFormatError("no atoms in input")
-    # The line parsers append rows flat, one float per cell, so no Python
-    # object per row outlives the parse.
-    return _owned_measure(
-        np.frombuffer(atoms, dtype=float).reshape(len(weights), -1),
-        np.frombuffer(weights, dtype=float),
-    )
+    (block,) = _read_blocks(source, fmt, num_vars, rows=None)
+    return _owned_measure(*block)
 
 
 def _dictionary_block(features: FunctionDictionary, pts: np.ndarray, offset: int) -> np.ndarray:
@@ -419,6 +543,73 @@ def _compensated_accumulate(total, comp, partial):
     return fresh, comp
 
 
+class _MomentSums:
+    """Weighted feature sums over blocks of atoms fed in index order.
+
+    ``add`` takes a block's atoms and weights and builds their feature
+    columns 4,096 atoms at a time; each sub-block's columns are weighted in
+    place, summed per feature and dropped, and the sums go through a
+    Neumaier update.  When every block but the last has a multiple of 4,096
+    rows, the sums are those of one pass over the whole measure, bit for
+    bit.  ``count`` is the number of atoms so far, and a dictionary's
+    errors name atoms by it.  With ``mass``, the exact sum of the weights
+    is kept as well (``_mass_units``).
+
+    A moment that overflows the float range raises ValueError after the
+    block in which it does, so a pass stops as soon as it is known.
+    """
+
+    def __init__(self, features: Features, mass: bool = False):
+        dim = feature_count(features)
+        self.features = features
+        self.total = np.zeros(dim)
+        self.comp = np.zeros(dim)
+        self.count = 0
+        self._mass_units = 0 if mass else None
+
+    def add(self, atoms: np.ndarray, weights: np.ndarray):
+        m = weights.shape[0]
+        # Overflow shows as inf (or inf - inf = nan) in the sums, checked below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, m, _ATOM_BLOCK):
+                stop = min(start + _ATOM_BLOCK, m)
+                # A fresh array for both feature kinds, so weighting it in
+                # place touches nothing shared.
+                block = _feature_block(self.features, atoms[start:stop], self.count + start)
+                block *= weights[start:stop]
+                self.total, self.comp = _compensated_accumulate(
+                    self.total, self.comp, block.sum(axis=1)
+                )
+                del block  # freed before the next block is built
+                if self._mass_units is not None:
+                    self._mass_units += _mass_units(weights[start:stop])
+        self._refuse_overflow(self.total)
+        self.count += m
+
+    def moments(self) -> np.ndarray:
+        """The moment vector so far, read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.total + self.comp
+        self._refuse_overflow(values)
+        values.setflags(write=False)
+        return values
+
+    @property
+    def mass(self) -> float:
+        """The correctly rounded sum of the weights so far."""
+        return _mass_value(self._mass_units)
+
+    def _refuse_overflow(self, values: np.ndarray):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            j = int(bad.argmax())
+            if isinstance(self.features, MonomialBasis):
+                name = f'moment "{",".join(map(str, self.features.indices[j]))}"'
+            else:
+                name = f"moment {j}"
+            raise ValueError(f"{name} of the measure overflows the float range")
+
+
 def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
     """Weighted feature sums over all atoms, compensated per feature.
 
@@ -427,37 +618,17 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
     each block's D x 4,096 feature columns are weighted in place, summed
     per feature, and dropped before the next block is built, so a pass
     needs O(D * 4,096) extra memory and reruns are bit-identical.  The
-    block sums are combined by a Neumaier update.
+    block sums are combined by a Neumaier update.  This is ``_MomentSums``
+    fed by ``_views``, the accumulator that the CLI feeds from a file.
 
     Raises ValueError naming the first moment that is not finite, that is,
     whose sum overflows the float range: no cubature can be checked
     against it.
     """
-    d = feature_count(features)
-    m = measure.num_atoms
-    total = np.zeros(d)
-    comp = np.zeros(d)
-    # Overflow shows as inf (or inf - inf = nan) in the result, checked below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, m, _ATOM_BLOCK):
-            stop = min(start + _ATOM_BLOCK, m)
-            # A fresh array for both feature kinds, so weighting it in place
-            # touches nothing shared.
-            block = _feature_block(features, measure.atoms[start:stop], start)
-            block *= measure.weights[start:stop]
-            total, comp = _compensated_accumulate(total, comp, block.sum(axis=1))
-            del block  # freed before the next block is built
-        values = total + comp
-    bad = ~np.isfinite(values)
-    if bad.any():
-        j = int(bad.argmax())
-        if isinstance(features, MonomialBasis):
-            name = f'moment "{",".join(map(str, features.indices[j]))}"'
-        else:
-            name = f"moment {j}"
-        raise ValueError(f"{name} of the measure overflows the float range")
-    values.setflags(write=False)
-    return values
+    sums = _MomentSums(features)
+    for atoms, weights in _views(measure):
+        sums.add(atoms, weights)
+    return sums.moments()
 
 
 def _relative_residuals(achieved: np.ndarray, target: np.ndarray) -> np.ndarray:

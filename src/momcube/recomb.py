@@ -13,10 +13,18 @@ feature sums are invariant under every step, so the survivors form a
 cubature formula: at most D nodes drawn from the original atoms, strictly
 positive weights, and the same moments as the input measure.
 
-The engine has three layers:
+The engine has four layers:
 
-* ``reduce`` checks the input, computes its moments, runs one tree over
-  all atoms and assembles the output in original coordinates.
+* ``reduce`` checks the input and hands views of it, 32,768 atoms at a
+  time, to ``_reduce_blocks``; ``momcube reduce`` hands it the blocks of
+  its file instead.
+* ``_reduce_blocks`` runs merge-and-reduce over blocks read once, in order
+  (Har-Peled & Mazumdar 2004): each block is reduced by one tree in its own
+  rescale, equal-level results are merged pairwise like a binary counter
+  and the union of their at most 2D atoms is reduced again.  In the same
+  pass it accumulates the moments and the exact mass, and it assembles the
+  output in original coordinates.  A measure of one block is one tree over
+  all atoms.
 * ``_tree`` runs tree recombination (Litterer & Lyons 2012; Maalouf,
   Jubran & Feldman 2019) rather than one elimination per atom: each level
   splits the live atoms into 2D contiguous groups, reduces the D x 2D
@@ -25,7 +33,7 @@ The engine has three layers:
   reduction and roughly halves the atoms.  Between levels it keeps only
   the live atoms' weights and indices; each level builds their feature
   columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
-  plus about two numbers per atom, whatever the atom count.
+  plus about two numbers per atom of its block.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
   applied to a D x n column matrix of at most 2D columns: a level's group
@@ -60,12 +68,20 @@ from .measure import (
     Features,
     _feature_block,
     _finite_or_none,
+    _MomentSums,
     _relative_residuals,
+    _views,
     feature_count,
     moment_vector,
 )
 
 _EPS = np.finfo(float).eps
+# The ufunc reductions behind ndarray.any, .max and .sum, called directly:
+# the same results without the method wrappers, which cost as much as the
+# work on the kernel's vectors of at most 2D entries.
+_any = np.logical_or.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
 # Null vectors per block of the kernel's delayed update (see ``_sweep``).
 _BLOCK = 16
 
@@ -152,6 +168,15 @@ class ReductionReport:
     ratio of the extreme singular values of the nodes' feature columns in
     the internal (rescaled) coordinates, infinite when they are singular.
     ``to_dict`` writes a float that is not finite as None (JSON null).
+
+    A measure of more than 32,768 atoms is reduced block by block and the
+    results are merged (``_reduce_blocks``), each reduction in its own
+    rescale.  Then the counts add up over all reductions; ``rescaling`` is
+    the map of the whole measure's box, ``rank_tol_factor`` the largest
+    factor any reduction used, ``detected_rank`` the largest rank any
+    reduction detected, and ``node_condition`` comes from the last
+    reduction, in its coordinates.  On one block every field is that of
+    the one tree.
     """
 
     initial_atoms: int
@@ -214,12 +239,13 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     """
     floor = c.shape[0] * _EPS
     pos = c > floor
-    if not pos.any():
+    if not _any(pos):
         c = -c
         pos = c > floor
-    ratio = np.full(c.shape[0], np.inf)
+    ratio = np.empty(c.shape[0])
+    ratio.fill(np.inf)
     np.divide(w, c, out=ratio, where=pos)
-    j_star = int(np.argmin(ratio))
+    j_star = int(ratio.argmin())
     shift = ratio[j_star] * c
     out = w - shift
     # Entries tying with the minimizer up to rounding are debris from earlier
@@ -341,10 +367,10 @@ def _sweep(
         for start in range(0, null.shape[0], _BLOCK):
             block = null[start:start + _BLOCK]
             for b, c in enumerate(block):
-                c /= np.abs(c).max()
+                c /= _max(np.abs(c))
                 if project_constant:
-                    projected = c - (c.sum() / count) * alive
-                    peak = np.abs(projected).max()
+                    projected = c - (_sum(c) / count) * alive
+                    peak = _max(np.abs(projected))
                     if peak > 1e-8:
                         np.divide(projected, peak, out=c)
                 new_w, j_star = _eliminate(w, c)
@@ -408,16 +434,19 @@ def _per_atom(values: np.ndarray, bounds: np.ndarray, start: int, stop: int):
 
 
 def _tree(
-    measure: DiscreteMeasure,
+    atoms: np.ndarray,
+    weights: np.ndarray,
+    offset: int,
     features: Features,
     rescale: tuple | None,
     tol_factor: float,
     tracker: _SpanTracker,
 ):
-    """Tree recombination over all atoms of ``measure``.
+    """Tree recombination over all of ``atoms``, weighted by ``weights``.
 
     ``rescale`` is ``_rescale``'s (shift, scale) arrays for a monomial
-    basis, or None.  Returns (surviving atom indices, their weights, their
+    basis, or None.  A dictionary's errors name atom ``offset`` + k for the
+    k-th atom.  Returns (surviving atom positions, their weights, their
     feature columns, elimination steps, factorizations, tree levels).
     Between levels the tree holds only the live atoms' weights and indices.
     Each level splits the live atoms into 2D contiguous groups and, block by
@@ -434,16 +463,15 @@ def _tree(
     slices of 2D columns, so no pass is spent on the rank alone.  At most 2D
     atoms go to ``_sweep`` as the base case, which is the only place columns
     outlive a block.  A level whose group means cancel, so that no group can
-    be removed, returns its more than 2D atoms unreduced, with no weights or
-    columns.
+    be removed, gives every atom its weight back and returns its more than
+    2D atoms unreduced, with no columns.
     """
     dim = tracker.dim
     groups = 2 * dim
     project_constant = isinstance(features, MonomialBasis)
-    atoms = measure.atoms
-    n = measure.num_atoms
+    n = atoms.shape[0]
     pos = np.arange(n)  # live atom indices
-    w = measure.weights.copy()
+    w = weights.copy()
     steps = factorizations = levels = 0
     while n > groups:
         bounds = (np.arange(groups + 1) * n) // groups
@@ -454,11 +482,11 @@ def _tree(
             first, last, atom_mass = _per_atom(mass, bounds, start, stop)
             shares = w[start:stop]
             shares /= atom_mass  # each atom's share of its group
-            # A dictionary's errors name atom pos[start] + k: the global
-            # index only where the block's indices are consecutive.
+            # A dictionary's errors name atom offset + pos[start] + k: the
+            # right atom only where the block's indices are consecutive.
             block = pos[start:stop]
-            cols = _columns(features, atoms[block], int(block[0]), rescale)
-            if not levels:
+            cols = _columns(features, atoms[block], offset + int(block[0]), rescale)
+            if not levels and tracker.rank < dim:
                 # Small slices keep the tracker's SVD workspace O(D^2).
                 for k in range(0, stop - start, groups):
                     tracker.add(cols[:, k:k + groups])
@@ -470,8 +498,7 @@ def _tree(
         kept, new_mass, s, f = _sweep(means, mass, project_constant, tol_factor)
         steps += s
         factorizations += f
-        if kept.shape[0] == groups:
-            return pos, None, None, steps, factorizations, levels
+        # When the means cancel, every group is kept at its own mass.
         group_mass = np.zeros(groups)
         group_mass[kept] = new_mass
         live = 0
@@ -484,57 +511,117 @@ def _tree(
             w[live:live + keep.shape[0]] = block[keep]
             pos[live:live + keep.shape[0]] = pos[start:stop][keep]
             live += keep.shape[0]
-        levels += 1
         n = live
         w = w[:n]
         pos = pos[:n]
-    cols = _columns(features, atoms[pos], int(pos[0]), rescale)
+        if kept.shape[0] == groups:
+            return pos, w, None, steps, factorizations, levels
+        levels += 1
+    cols = _columns(features, atoms[pos], offset + int(pos[0]), rescale)
     if not levels:
         tracker.add(cols)
     sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
     return pos[sub], w, cols[:, sub], steps + s, factorizations + f, levels
 
 
-def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, ReductionReport]:
-    """Compress a measure onto at most D of its atoms, moments preserved.
+@dataclass
+class _Totals:
+    """What the reductions of one ``_reduce_blocks`` pass add up to."""
 
-    D is the feature count.  Output nodes are original atoms (by index),
-    weights are strictly positive, and every feature's weighted sum matches
-    the input measure's; the achieved max relative residual, as
-    ``verify_cubature`` computes it, is recorded in the report.
+    steps: int = 0
+    factorizations: int = 0
+    levels: int = 0
+    rank: int = 0
+    tol_factor: float = 1.0
+    # The node columns of the latest reduction, in its own coordinates.
+    cols: np.ndarray | None = None
 
-    One tree (``_tree``) runs over all atoms, for a monomial basis in the
-    [-1, 1]^N coordinates of ``_rescale``'s two arrays, shift and scale.
-    Feature columns are built 4,096 atoms at a time and dropped after use,
-    so extra memory is O(D * 4,096) plus the tree's copy of the weights and
-    its atom indices (two numbers per atom), whatever the input size.  The
-    output is stated in original coordinates.
 
-    Raises ValueError when a moment of the measure overflows the float
-    range, and when the features' weighted sums cancel so that more than D
-    atoms remain at the end (a zero moment vector has no positive cubature
-    the reduction can find).
+def _recombine(rows, atoms, weights, features: Features, totals: _Totals):
+    """One tree over a piece, in the piece's own [-1, 1]^N rescale for a
+    monomial basis: a block as read, or the union of two earlier results.
+
+    ``rows`` are the piece's global atom indices, ``atoms`` its original
+    coordinates.  Returns the survivors' (rows, atoms, weights), more than
+    D of them when the piece's feature sums cancel, and adds the tree's
+    counts into ``totals``.
     """
-    dim = feature_count(features)
-    atoms = measure.atoms
-    is_monomial = isinstance(features, MonomialBasis)
     rescale = None
     tol_factor = 1.0
-    if is_monomial:
-        if features.num_vars != measure.num_vars:
-            raise ValueError(
-                f"basis expects {features.num_vars} coordinates, "
-                f"measure has {measure.num_vars}"
-            )
+    if isinstance(features, MonomialBasis):
         shift, scale, tol_factor = _rescale(atoms)
         rescale = shift, scale
-    # First, so that a measure whose moments overflow fails before the tree.
-    target = moment_vector(measure, features)
-
-    tracker = _SpanTracker(dim, tol_factor)
+    tracker = _SpanTracker(feature_count(features), tol_factor)
     idx, w, cols, steps, factorizations, levels = _tree(
-        measure, features, rescale, tol_factor, tracker
+        atoms, weights, int(rows[0]), features, rescale, tol_factor, tracker
     )
+    totals.steps += steps
+    totals.factorizations += factorizations
+    totals.levels += levels
+    # The final full-rank certificate proves the survivors are independent,
+    # so the detected rank is at least their count.
+    totals.rank = max(totals.rank, tracker.rank, int(idx.shape[0]))
+    totals.tol_factor = max(totals.tol_factor, tol_factor)
+    totals.cols = cols
+    return rows[idx], atoms[idx], w
+
+
+def _merge(older, newer, features: Features, totals: _Totals):
+    """``_recombine`` of the union of two results, older rows first."""
+    return _recombine(
+        *(np.concatenate(parts) for parts in zip(older, newer)), features, totals
+    )
+
+
+def _reduce_blocks(
+    blocks, features: Features, sums: _MomentSums
+) -> tuple[Cubature, ReductionReport]:
+    """``reduce`` by merge-and-reduce over (atoms, weights) blocks read
+    once, in order: the one engine behind ``reduce`` and ``momcube reduce``.
+
+    Each block is reduced by its own tree (``_recombine``) and put on a
+    binary counter: a result that meets one of equal level is merged with
+    it, and the union of their at most 2D atoms is reduced again, one level
+    up (Har-Peled & Mazumdar 2004; Maalouf, Jubran & Feldman 2019).  The
+    levels left at the end are merged from the lowest up.  So one block and
+    about log2(blocks) results of at most D atoms are held at a time.
+    Recombination is exact on each piece and moments add, so the nodes
+    carry the moments of all blocks.  One block gives one tree over it.
+
+    Each block goes into ``sums`` (moments and exact mass) before it is
+    reduced, so a moment that overflows stops the pass at its block; after
+    the call ``sums`` holds the whole measure's, for a verifier to share.
+    A result whose feature sums cancel keeps its atoms unreduced, since
+    later blocks may undo the cancellation, so more than D survivors are an
+    error only at the end.
+    """
+    dim = feature_count(features)
+    is_monomial = isinstance(features, MonomialBasis)
+    counter = []  # counter[k]: the result of 2**k blocks, or None
+    totals = _Totals()
+    box = None  # per coordinate, the least and the largest value so far
+    for atoms, weights in blocks:
+        offset = sums.count
+        sums.add(atoms, weights)
+        lo_hi = np.stack([atoms.min(axis=0), atoms.max(axis=0)])
+        box = lo_hi if box is None else np.stack(
+            [np.minimum(box[0], lo_hi[0]), np.maximum(box[1], lo_hi[1])]
+        )
+        rows = np.arange(offset, offset + weights.shape[0])
+        piece = _recombine(rows, atoms, weights, features, totals)
+        level = 0
+        while level < len(counter) and counter[level] is not None:
+            piece = _merge(counter[level], piece, features, totals)
+            counter[level] = None
+            level += 1
+        if level == len(counter):
+            counter.append(None)
+        counter[level] = piece
+    piece = None
+    for result in counter:
+        if result is not None:
+            piece = result if piece is None else _merge(result, piece, features, totals)
+    idx, nodes, w = piece
     if idx.shape[0] > dim:
         raise ValueError(
             f"reduction stopped at {idx.shape[0]} atoms, above the feature count "
@@ -545,11 +632,11 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     if is_monomial:
         # The constant monomial is entry 0, so total mass is itself a moment;
         # pin it exactly by one global rescale of the surviving weights.
-        w = w * (measure.total_mass / math.fsum(w.tolist()))
-    nodes = atoms[idx]
+        w = w * (sums.mass / math.fsum(w.tolist()))
+    target = sums.moments()
     achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features)
     residual = float(_relative_residuals(achieved, target).max())
-    svals = np.linalg.svd(cols, compute_uv=False)
+    svals = np.linalg.svd(totals.cols, compute_uv=False)
 
     cubature = Cubature(
         node_indices=idx,
@@ -558,25 +645,56 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
         degree=features.max_degree if is_monomial else None,
         basis_id=features.identifier,
     )
+    rescaling = None
+    if is_monomial:
+        shift, scale, _ = _rescale(box)
+        rescaling = {"shift": shift.tolist(), "scale": scale.tolist()}
     report = ReductionReport(
-        initial_atoms=measure.num_atoms,
+        initial_atoms=sums.count,
         final_atoms=int(idx.shape[0]),
-        elimination_steps=steps,
-        # The final full-rank certificate proves the survivors are
-        # independent, so the detected rank is at least their count.
-        detected_rank=max(tracker.rank, int(idx.shape[0])),
+        elimination_steps=totals.steps,
+        detected_rank=totals.rank,
         max_moment_residual_rel=residual,
-        rescaling=(
-            {"shift": shift.tolist(), "scale": scale.tolist()} if is_monomial else None
-        ),
-        tree_levels=levels,
-        rank_tol_factor=tol_factor,
-        factorizations=factorizations,
+        rescaling=rescaling,
+        tree_levels=totals.levels,
+        rank_tol_factor=totals.tol_factor,
+        factorizations=totals.factorizations,
         # Python floats: a ratio beyond the float range is inf, not a warning.
         weight_ratio=float(w.max()) / float(w.min()),
         node_condition=float(svals[0] / svals[-1]) if svals[-1] > 0.0 else math.inf,
     )
     return cubature, report
+
+
+def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, ReductionReport]:
+    """Compress a measure onto at most D of its atoms, moments preserved.
+
+    D is the feature count.  Output nodes are original atoms (by index),
+    weights are strictly positive, and every feature's weighted sum matches
+    the input measure's; the achieved max relative residual, as
+    ``verify_cubature`` computes it, is recorded in the report.
+
+    The atoms go through merge-and-reduce (``_reduce_blocks``) in views of
+    32,768 rows, the blocks in which ``momcube reduce`` reads a file: one
+    tree (``_tree``) per block, for a monomial basis in the block's own
+    [-1, 1]^N coordinates, and the results merged pairwise like a binary
+    counter.  A measure of at most 32,768 atoms is one block and one tree
+    over all atoms.  Feature columns are built 4,096 atoms at a time and
+    dropped after use, so extra memory is O(D * 4,096) plus two numbers per
+    atom of one block, whatever the input size.  The output is stated in
+    original coordinates.
+
+    Raises ValueError when a moment of the measure overflows the float
+    range, and when the features' weighted sums cancel so that more than D
+    atoms remain at the end (a zero moment vector has no positive cubature
+    the reduction can find).
+    """
+    if isinstance(features, MonomialBasis) and features.num_vars != measure.num_vars:
+        raise ValueError(
+            f"basis expects {features.num_vars} coordinates, "
+            f"measure has {measure.num_vars}"
+        )
+    return _reduce_blocks(_views(measure), features, _MomentSums(features, mass=True))
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps this name whenever it

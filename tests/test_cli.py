@@ -216,6 +216,18 @@ class TestFeasibleCommand:
         moments = self._moment_file(tmp_path, [1.0, 0.0, 0.5])
         assert main(["feasible", "--input", moments]) == 2
 
+    def test_moments_over_a_tiny_mass_exit_two(self, tmp_path, capsys):
+        grid = _write(tmp_path / "grid.csv", "-1\n0\n1\n")
+        payload = {
+            "basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 1},
+            "moments": {"0": 1e-300, "1": 1e10},
+        }
+        path = _write(tmp_path / "moments.json", json.dumps(payload))
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "moment vector must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "moments", [[1, 2, 3], {"0": [1.0], "1": 0.0, "2": 0.5}], ids=["list", "list-value"]
     )

@@ -265,6 +265,13 @@ class TestTruncatedMomentFeasible:
         with pytest.raises(ValueError, match="mass"):
             truncated_moment_feasible({(0,): 0.0, (1,): 0.0}, [[0.0]], 1, [1], 1)
 
+    def test_moments_over_a_tiny_mass_overflow_to_a_refused_target(self):
+        # 1e10 / 1e-300 is beyond the float range.  Under the suite's
+        # error::RuntimeWarning filter the division used to raise its
+        # overflow warning before the target was checked.
+        with pytest.raises(ValueError, match="^moment vector must be finite$"):
+            truncated_moment_feasible({(0,): 1e-300, (1,): 1e10}, [[0.0]], 1, [1], 1)
+
     @pytest.mark.parametrize(
         "grid, ncoords",
         [([[0.0, 1.0], [1.0, 0.0]], 2), ([-1.0, 0.0, 1.0], 3)],

@@ -218,6 +218,17 @@ def _outcome(source, num_vars):
     return m.atoms.shape, m.atoms.tobytes(), m.weights.tobytes()
 
 
+def _streamed_outcome(source, num_vars, rows):
+    """``_outcome`` of the blocks that the CLI's reader yields."""
+    try:
+        blocks = list(measure._read_blocks(source, "csv", num_vars, rows))
+    except MeasureFormatError as exc:
+        return "error", str(exc)
+    atoms = np.concatenate([a for a, _ in blocks])
+    weights = np.concatenate([w for _, w in blocks])
+    return atoms.shape, atoms.tobytes(), weights.tobytes()
+
+
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(csv_texts(), st.booleans())
 @example(("1,2\n#3,4\n", None), False)  # "#" starts no comment
@@ -229,6 +240,9 @@ def test_block_parse_matches_the_line_parser(case, bom):
     with mock.patch.object(measure, "_load_csv_block", return_value=None):
         want = _outcome(data, num_vars)
     assert _outcome(data, num_vars) == want
+    # In blocks of two rows, a header, blank lines and faults fall at and
+    # across block boundaries.
+    assert _streamed_outcome(data, num_vars, 2) == want
 
 
 class TestLoadMeasureJsonl:
