@@ -251,7 +251,7 @@ def cmd_reduce(cfg: argparse.Namespace) -> int:
     basis = _require_basis(cfg, num_vars)
     # One pass: the blocks feed the reduction and, in the same sums, the
     # verifier's moments and mass.  The nodes are the rows as read.
-    sums = _MomentSums(basis, mass=True)
+    sums = _MomentSums(basis)
     try:
         cubature, report = _reduce_blocks(blocks, basis, sums)
     except (ValueError, np.linalg.LinAlgError) as exc:

@@ -37,7 +37,8 @@ from .basis import (
     MonomialBasis, MultiIndex, _embed_into, basis_from_config, build_basis, embed_block,
 )
 from .measure import (
-    _ATOM_BLOCK, DiscreteMeasure, _finite_or_none, _is_json_number, _open_text,
+    _ATOM_BLOCK, DiscreteMeasure, _finite_or_none, _is_json_number, _json_float,
+    _open_text,
 )
 
 DEFAULT_FEAS_TOL = 1e-9
@@ -524,17 +525,38 @@ def moments_to_dict(basis: MonomialBasis, values) -> dict:
     }
 
 
+def _distinct_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice (the JSON
+    parser would keep the later value)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
 def load_moment_file(source) -> tuple[MonomialBasis, dict[MultiIndex, float]]:
     """Read a moment file: {"basis": {...}, "moments": {"2,0": value, ...}}.
 
-    The source is a path, bytes or a file object, decoded as measure files are.
+    The source is a path, bytes or a file object, decoded as measure files
+    are.  An integer too large for a float reads as +-inf, which the
+    feasibility query refuses.  Raises ValueError when two keys name the
+    same moment ("1" and "01", or "1" twice), since either value could
+    decide the verdict.
     """
     with _open_text(source) as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_distinct_keys)
     if not isinstance(data, dict) or "basis" not in data or "moments" not in data:
         raise ValueError('moment file needs "basis" and "moments" entries')
     basis = basis_from_config(data["basis"])
     moments = data["moments"]
     if not isinstance(moments, dict) or not all(map(_is_json_number, moments.values())):
         raise ValueError('"moments" must be an object mapping moment keys to numbers')
-    return basis, {parse_moment_key(k): float(v) for k, v in moments.items()}
+    keys = {}  # moment index -> the key that named it
+    for key in moments:
+        index = parse_moment_key(key)
+        if index in keys:
+            raise ValueError(f"moment keys {keys[index]!r} and {key!r} name the same moment")
+        keys[index] = key
+    return basis, {index: _json_float(moments[key]) for index, key in keys.items()}

@@ -24,8 +24,10 @@ front of it, ``_load_csv_block`` parses a block of rows in one
 ``np.loadtxt`` call and checks the rules on the resulting array.  It either
 returns exactly what the line parser would, or declines, and then the line
 parser reads the file from the start, skipping the rows already delivered.
-``_open_text`` decodes measure, moment, config and cubature text alike
-(UTF-8, a leading byte-order mark dropped).
+Both line parsers, CSV and JSONL, yield checked (coordinates, weight) rows,
+and one assembler, ``_line_blocks``, packs those rows into blocks over flat
+``array("d")`` buffers.  ``_open_text`` decodes measure, moment, config and
+cubature text alike (UTF-8, a leading byte-order mark dropped).
 
 Array ownership: ``DiscreteMeasure(atoms, weights)`` copies its inputs, so
 a caller may go on writing to its own arrays.  ``load_measure`` builds the
@@ -267,24 +269,39 @@ def _finite_or_none(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
-def _flat_block(atoms: array, weights: array):
-    """(atoms, weights) arrays over a line parser's flat buffers, no copy."""
-    return (
-        np.frombuffer(atoms, dtype=float).reshape(len(weights), -1),
-        np.frombuffer(weights, dtype=float),
-    )
+def _line_blocks(rows_of, rows=None, skip=0):
+    """(atoms, weights) blocks of ``rows`` rows (the last may be shorter;
+    None: one block of all rows) from a line parser's (coordinates, weight)
+    rows, the first ``skip`` of them left out.
+
+    Rows go flat, one float per cell, into ``array("d")`` buffers that the
+    block's arrays view without a copy, so no Python object per row
+    outlives its line.  A block is yielded before the next line is read.
+    """
+    rows_of = itertools.islice(rows_of, skip, None)
+    while True:
+        atoms = array("d")
+        weights = array("d")
+        for row, w in itertools.islice(rows_of, rows):
+            atoms.extend(row)
+            weights.append(w)
+        if not weights:
+            return
+        yield np.frombuffer(atoms).reshape(len(weights), -1), np.frombuffer(weights)
 
 
 def _parse_csv(text_file, num_vars, rows=None, skip=0):
-    """(atoms, weights) blocks of ``rows`` rows (the last may be shorter;
-    None: one block of all rows), read line by line from the start.
+    """(atoms, weights) blocks of ``rows`` rows (None: one block of all
+    rows), read line by line from the start.
 
     Every line is checked; the first ``skip`` data rows, which the block
-    parse has already delivered, are not yielded again.  Rows are appended
-    flat, one float per cell, so no Python object per row outlives its line.
+    parse has already delivered, are not yielded again.
     """
-    atoms = array("d")
-    weights = array("d")
+    return _line_blocks(_csv_rows(text_file, num_vars), rows, skip)
+
+
+def _csv_rows(text_file, num_vars):
+    """Each CSV data row as (coordinates, weight), once it passes the rules."""
     ncols = None
     for lineno, raw in enumerate(text_file, start=1):
         line = raw.strip()
@@ -317,17 +334,7 @@ def _parse_csv(text_file, num_vars, rows=None, skip=0):
                     f"line {lineno}: expected {num_vars} coordinate columns "
                     f"(+ optional weight), got {ncols}"
                 )
-        if skip:
-            skip -= 1
-            continue
-        atoms.extend(row)
-        weights.append(w)
-        if len(weights) == rows:
-            yield _flat_block(atoms, weights)
-            atoms = array("d")
-            weights = array("d")
-    if weights:
-        yield _flat_block(atoms, weights)
+        yield row, w
 
 
 def _load_csv_block(text_file, num_vars, rows=None, width=None):
@@ -405,11 +412,8 @@ def _csv_blocks(text_file, num_vars, rows):
     yield from _parse_csv(text_file, num_vars, rows, skip=delivered)
 
 
-def _parse_jsonl(text_file, num_vars, rows=None):
-    """(atoms, weights) blocks of ``rows`` rows (None: one block), as
-    ``_parse_csv`` yields them."""
-    atoms = array("d")
-    weights = array("d")
+def _jsonl_rows(text_file, num_vars):
+    """Each JSONL row as (coordinates, weight), once it passes the rules."""
     n = num_vars
     for lineno, raw in enumerate(text_file, start=1):
         line = raw.strip()
@@ -441,14 +445,7 @@ def _parse_jsonl(text_file, num_vars, rows=None):
             raise MeasureFormatError(f"line {lineno}: non-finite weight")
         if w <= 0.0:
             raise MeasureFormatError(f"line {lineno}: non-positive weight {w!r}")
-        atoms.extend(row)
-        weights.append(w)
-        if len(weights) == rows:
-            yield _flat_block(atoms, weights)
-            atoms = array("d")
-            weights = array("d")
-    if weights:
-        yield _flat_block(atoms, weights)
+        yield row, w
 
 
 def _read_blocks(
@@ -466,7 +463,7 @@ def _read_blocks(
         if fmt == "csv":
             blocks = _csv_blocks(text_file, num_vars, rows)
         elif fmt == "jsonl":
-            blocks = _parse_jsonl(text_file, num_vars, rows)
+            blocks = _line_blocks(_jsonl_rows(text_file, num_vars), rows)
         else:
             raise MeasureFormatError(f"unknown format {fmt!r} (expected csv or jsonl)")
         empty = True
@@ -552,20 +549,20 @@ class _MomentSums:
     Neumaier update.  When every block but the last has a multiple of 4,096
     rows, the sums are those of one pass over the whole measure, bit for
     bit.  ``count`` is the number of atoms so far, and a dictionary's
-    errors name atoms by it.  With ``mass``, the exact sum of the weights
-    is kept as well (``_mass_units``).
+    errors name atoms by it.  The exact sum of the weights is kept as well
+    (``_mass_units``).
 
     A moment that overflows the float range raises ValueError after the
     block in which it does, so a pass stops as soon as it is known.
     """
 
-    def __init__(self, features: Features, mass: bool = False):
+    def __init__(self, features: Features):
         dim = feature_count(features)
         self.features = features
         self.total = np.zeros(dim)
         self.comp = np.zeros(dim)
         self.count = 0
-        self._mass_units = 0 if mass else None
+        self._mass_units = 0
 
     def add(self, atoms: np.ndarray, weights: np.ndarray):
         m = weights.shape[0]
@@ -581,8 +578,7 @@ class _MomentSums:
                     self.total, self.comp, block.sum(axis=1)
                 )
                 del block  # freed before the next block is built
-                if self._mass_units is not None:
-                    self._mass_units += _mass_units(weights[start:stop])
+                self._mass_units += _mass_units(weights[start:stop])
         self._refuse_overflow(self.total)
         self.count += m
 

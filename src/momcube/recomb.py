@@ -30,10 +30,10 @@ The engine has four layers:
   splits the live atoms into 2D contiguous groups, reduces the D x 2D
   weighted group means, rescales the atom weights of the at most D
   surviving groups and drops the rest, so every level costs one small
-  reduction and roughly halves the atoms.  Between levels it keeps only
-  the live atoms' weights and indices; each level builds their feature
-  columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
-  plus about two numbers per atom of its block.
+  reduction and roughly halves the atoms.  Its atoms are one block or
+  the union of two results, and it holds three numbers per atom of them:
+  index, weight and group.  Each level builds the feature columns again,
+  4,096 atoms at a time, so extra memory is O(D * 4,096) on top.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
   applied to a D x n column matrix of at most 2D columns: a level's group
@@ -405,38 +405,21 @@ def _sweep(
     return idx, w, steps, factorizations
 
 
-def _columns(
-    features: Features, pts: np.ndarray, offset: int, rescale: tuple | None
-) -> np.ndarray:
+def _columns(features: Features, pts: np.ndarray, rescale: tuple | None) -> np.ndarray:
     """A fresh D x len(pts) block of the feature columns of ``pts``.
 
     Points go through (x - shift) / scale first when ``rescale`` is given
-    as (shift, scale).  A dictionary's errors name atom offset + k for the
-    block's k-th point.
+    as (shift, scale).
     """
     if rescale is not None:
         shift, scale = rescale
         pts = (pts - shift) / scale
-    return _feature_block(features, pts, offset)
-
-
-def _per_atom(values: np.ndarray, bounds: np.ndarray, start: int, stop: int):
-    """Group values spread over the atoms start..stop-1 of a level.
-
-    Group g holds atoms bounds[g]..bounds[g + 1] - 1.  Returns (first,
-    last, spread): the groups first..last-1 meet the block, and spread[k]
-    is the value of atom start + k's group, a fresh array of stop - start.
-    """
-    first = int(np.searchsorted(bounds, start, side="right")) - 1
-    last = int(np.searchsorted(bounds, stop))
-    sizes = np.diff(np.clip(bounds[first:last + 1], start, stop))
-    return first, last, np.repeat(values[first:last], sizes)
+    return _feature_block(features, pts)
 
 
 def _tree(
     atoms: np.ndarray,
     weights: np.ndarray,
-    offset: int,
     features: Features,
     rescale: tuple | None,
     tol_factor: float,
@@ -445,26 +428,23 @@ def _tree(
     """Tree recombination over all of ``atoms``, weighted by ``weights``.
 
     ``rescale`` is ``_rescale``'s (shift, scale) arrays for a monomial
-    basis, or None.  A dictionary's errors name atom ``offset`` + k for the
-    k-th atom.  Returns (surviving atom positions, their weights, their
+    basis, or None.  Returns (surviving atom positions, their weights, their
     feature columns, elimination steps, factorizations, tree levels).
-    Between levels the tree holds only the live atoms' weights and indices.
-    Each level splits the live atoms into 2D contiguous groups and, block by
-    block, divides every weight by its group's mass in place, so shares lie
-    in [0, 1] and weights may span the float range, subnormals included.  It
-    builds each block's feature columns (in the rescaled coordinates, for a
-    monomial basis) 4,096 atoms at a time, weights them by the shares in
-    place and adds their per-group sums into the D x 2D group means.
-    ``_sweep`` reduces the means, and the atoms of the at most D surviving
-    groups take their share of the new group mass, again block by block;
-    atoms whose weight underflows to 0 are dropped, and the survivors are
-    moved to the front of the same arrays.  So no level allocates an array
-    of one number per atom.  The first level also feeds ``tracker``, in
-    slices of 2D columns, so no pass is spent on the rank alone.  At most 2D
-    atoms go to ``_sweep`` as the base case, which is the only place columns
-    outlive a block.  A level whose group means cancel, so that no group can
-    be removed, gives every atom its weight back and returns its more than
-    2D atoms unreduced, with no columns.
+    ``atoms`` is one block or the union of two results, and the tree holds
+    three numbers for each of its live atoms: position, weight and group.
+    Each level splits the live atoms into 2D contiguous groups and divides
+    every weight by its group's mass, so shares lie in [0, 1] and weights
+    may span the float range, subnormals included.  It builds the feature
+    columns (rescaled, for a monomial basis) 4,096 atoms at a time, weights
+    them by the shares in place and adds their per-group sums into the
+    D x 2D group means.  ``_sweep`` reduces the means; each atom then gets
+    its share of its group's new mass, and atoms left at 0 (a removed group,
+    or an underflow) are dropped.  The first level also feeds ``tracker``,
+    in slices of 2D columns, so no pass is spent on the rank alone.  At most
+    2D atoms go to ``_sweep`` as the base case, whose columns are the only
+    ones to outlive a block of 4,096.  A level whose group means cancel, so
+    that no group can be removed, gives every atom its weight back and
+    returns its more than 2D atoms unreduced, with no columns.
     """
     dim = tracker.dim
     groups = 2 * dim
@@ -475,22 +455,19 @@ def _tree(
     steps = factorizations = levels = 0
     while n > groups:
         bounds = (np.arange(groups + 1) * n) // groups
+        group = np.repeat(np.arange(groups), np.diff(bounds))
         mass = np.add.reduceat(w, bounds[:-1])
+        w /= mass[group]  # each atom's share of its group
         means = np.zeros((dim, groups))
         for start in range(0, n, _ATOM_BLOCK):
             stop = min(start + _ATOM_BLOCK, n)
-            first, last, atom_mass = _per_atom(mass, bounds, start, stop)
-            shares = w[start:stop]
-            shares /= atom_mass  # each atom's share of its group
-            # A dictionary's errors name atom offset + pos[start] + k: the
-            # right atom only where the block's indices are consecutive.
-            block = pos[start:stop]
-            cols = _columns(features, atoms[block], offset + int(block[0]), rescale)
+            first, last = group[start], group[stop - 1] + 1
+            cols = _columns(features, atoms[pos[start:stop]], rescale)
             if not levels and tracker.rank < dim:
                 # Small slices keep the tracker's SVD workspace O(D^2).
                 for k in range(0, stop - start, groups):
                     tracker.add(cols[:, k:k + groups])
-            cols *= shares
+            cols *= w[start:stop]
             offsets = bounds[first:last] - start  # where each group starts
             offsets[0] = 0
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
@@ -501,23 +478,15 @@ def _tree(
         # When the means cancel, every group is kept at its own mass.
         group_mass = np.zeros(groups)
         group_mass[kept] = new_mass
-        live = 0
-        for start in range(0, n, _ATOM_BLOCK):
-            stop = min(start + _ATOM_BLOCK, n)
-            block = w[start:stop]
-            block *= _per_atom(group_mass, bounds, start, stop)[2]
-            keep = np.flatnonzero(block > 0.0)
-            # live <= start: the survivors move forward in place.
-            w[live:live + keep.shape[0]] = block[keep]
-            pos[live:live + keep.shape[0]] = pos[start:stop][keep]
-            live += keep.shape[0]
-        n = live
-        w = w[:n]
-        pos = pos[:n]
+        w *= group_mass[group]
+        live = w > 0.0
+        w = w[live]
+        pos = pos[live]
+        n = w.shape[0]
         if kept.shape[0] == groups:
             return pos, w, None, steps, factorizations, levels
         levels += 1
-    cols = _columns(features, atoms[pos], offset + int(pos[0]), rescale)
+    cols = _columns(features, atoms[pos], rescale)
     if not levels:
         tracker.add(cols)
     sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
@@ -553,7 +522,7 @@ def _recombine(rows, atoms, weights, features: Features, totals: _Totals):
         rescale = shift, scale
     tracker = _SpanTracker(feature_count(features), tol_factor)
     idx, w, cols, steps, factorizations, levels = _tree(
-        atoms, weights, int(rows[0]), features, rescale, tol_factor, tracker
+        atoms, weights, features, rescale, tol_factor, tracker
     )
     totals.steps += steps
     totals.factorizations += factorizations
@@ -579,25 +548,29 @@ def _reduce_blocks(
     """``reduce`` by merge-and-reduce over (atoms, weights) blocks read
     once, in order: the one engine behind ``reduce`` and ``momcube reduce``.
 
-    Each block is reduced by its own tree (``_recombine``) and put on a
-    binary counter: a result that meets one of equal level is merged with
-    it, and the union of their at most 2D atoms is reduced again, one level
-    up (Har-Peled & Mazumdar 2004; Maalouf, Jubran & Feldman 2019).  The
-    levels left at the end are merged from the lowest up.  So one block and
-    about log2(blocks) results of at most D atoms are held at a time.
+    Each block is reduced by its own tree (``_recombine``) and pushed on a
+    stack of (level, result) pairs, a binary counter: while the top has the
+    new result's level, the two are merged, older rows first, and the union
+    of their at most 2D atoms is reduced again, one level up (Har-Peled &
+    Mazumdar 2004; Maalouf, Jubran & Feldman 2019).  The results left at
+    the end are merged from the top, the lowest level, down.  So one block
+    and about log2(blocks) results of at most D atoms are held at a time.
     Recombination is exact on each piece and moments add, so the nodes
     carry the moments of all blocks.  One block gives one tree over it.
 
     Each block goes into ``sums`` (moments and exact mass) before it is
-    reduced, so a moment that overflows stops the pass at its block; after
-    the call ``sums`` holds the whole measure's, for a verifier to share.
+    reduced, so a moment that overflows, or a dictionary that fails on an
+    atom, stops the pass at its block and names the atom by its global row;
+    after the call ``sums`` holds the whole measure's, for a verifier to
+    share.  A ``FunctionDictionary`` is deterministic, so the trees, which
+    evaluate it again at the same atoms, cannot fail where ``sums`` passed.
     A result whose feature sums cancel keeps its atoms unreduced, since
     later blocks may undo the cancellation, so more than D survivors are an
     error only at the end.
     """
     dim = feature_count(features)
     is_monomial = isinstance(features, MonomialBasis)
-    counter = []  # counter[k]: the result of 2**k blocks, or None
+    stack = []  # (level, result of 2**level blocks), levels falling to the top
     totals = _Totals()
     box = None  # per coordinate, the least and the largest value so far
     for atoms, weights in blocks:
@@ -610,17 +583,13 @@ def _reduce_blocks(
         rows = np.arange(offset, offset + weights.shape[0])
         piece = _recombine(rows, atoms, weights, features, totals)
         level = 0
-        while level < len(counter) and counter[level] is not None:
-            piece = _merge(counter[level], piece, features, totals)
-            counter[level] = None
+        while stack and stack[-1][0] == level:
+            piece = _merge(stack.pop()[1], piece, features, totals)
             level += 1
-        if level == len(counter):
-            counter.append(None)
-        counter[level] = piece
-    piece = None
-    for result in counter:
-        if result is not None:
-            piece = result if piece is None else _merge(result, piece, features, totals)
+        stack.append((level, piece))
+    _, piece = stack.pop()
+    while stack:
+        piece = _merge(stack.pop()[1], piece, features, totals)
     idx, nodes, w = piece
     if idx.shape[0] > dim:
         raise ValueError(
@@ -680,8 +649,8 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
     [-1, 1]^N coordinates, and the results merged pairwise like a binary
     counter.  A measure of at most 32,768 atoms is one block and one tree
     over all atoms.  Feature columns are built 4,096 atoms at a time and
-    dropped after use, so extra memory is O(D * 4,096) plus two numbers per
-    atom of one block, whatever the input size.  The output is stated in
+    dropped after use, so extra memory is O(D * 4,096) plus a few numbers
+    per atom of one block, whatever the input size.  The output is stated in
     original coordinates.
 
     Raises ValueError when a moment of the measure overflows the float
@@ -694,7 +663,7 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
             f"basis expects {features.num_vars} coordinates, "
             f"measure has {measure.num_vars}"
         )
-    return _reduce_blocks(_views(measure), features, _MomentSums(features, mass=True))
+    return _reduce_blocks(_views(measure), features, _MomentSums(features))
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps this name whenever it

@@ -109,7 +109,7 @@ def _verify_blocks(blocks, cubature: Cubature, features: Features) -> Verificati
     once and in order; the index check comes when the atom count is known,
     at the end."""
     idx = cubature.node_indices
-    sums = _MomentSums(features, mass=True)
+    sums = _MomentSums(features)
     rows = None  # the measure's rows at idx, filled in block by block
     for atoms, weights in blocks:
         if rows is None:

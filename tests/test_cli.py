@@ -228,6 +228,40 @@ class TestFeasibleCommand:
         assert code == 2
         assert "moment vector must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, message", [
+        ("0", "total mass (constant moment) must be positive, got inf"),
+        ("1", "moment vector must be finite"),
+    ], ids=["mass", "first-moment"])
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys, key, message):
+        grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
+        moments = {"0": "1", "1": "0.5"}
+        moments[key] = "1" + "0" * 400
+        text = '{"basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 1}, ' \
+            '"moments": {%s}}' % ", ".join(f'"{k}": {v}' for k, v in moments.items())
+        path = _write(tmp_path / "moments.json", text)
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("keys, message", [
+        (("1", "01"), "moment keys '1' and '01' name the same moment"),
+        (("01", "1"), "moment keys '01' and '1' name the same moment"),
+        (("1", "1"), "key '1' appears twice in one object"),
+    ])
+    def test_two_keys_for_one_moment_exit_two(self, tmp_path, capsys, keys, message):
+        # On the grid {0.5, 1.5} a mean of 0.5 is feasible and 9 is not, so
+        # the later key used to decide the exit code.
+        grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
+        text = '{"basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 1}, ' \
+            '"moments": {"0": 1, "%s": 0.5, "%s": 9.0}}' % keys
+        path = _write(tmp_path / "moments.json", text)
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.strip().endswith(f"{path}: {message}")
+        assert not (tmp_path / "out" / "feasibility.json").exists()
+
     @pytest.mark.parametrize(
         "moments", [[1, 2, 3], {"0": [1.0], "1": 0.0, "2": 0.5}], ids=["list", "list-value"]
     )

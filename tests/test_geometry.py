@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -651,6 +652,25 @@ class TestMomentFiles:
         loaded_basis, loaded = load_moment_file(wrap(b"\xef\xbb\xbf" + text.encode()))
         assert loaded_basis.indices == basis.indices
         assert loaded == {(0,): 1.0, (1,): 0.5, (2,): 0.25}
+
+    def test_integer_too_large_for_a_float_reads_as_infinity(self):
+        # float() of a 400-digit literal raised OverflowError, a traceback.
+        text = '{"basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 1}, ' \
+            '"moments": {"0": 1, "1": -1%s}}' % ("0" * 400)
+        _, loaded = load_moment_file(text.encode())
+        assert loaded == {(0,): 1.0, (1,): -math.inf}
+
+    @pytest.mark.parametrize("keys, message", [
+        (("1", "01"), "moment keys '1' and '01' name the same moment"),
+        (("01", "1"), "moment keys '01' and '1' name the same moment"),
+        (("1", "1"), "key '1' appears twice in one object"),
+    ])
+    def test_two_keys_for_one_moment_are_refused(self, keys, message):
+        # Whichever key came later used to win, and so decide the verdict.
+        text = '{"basis": {"num_vars": 1, "degree_weights": [1], "max_degree": 1}, ' \
+            '"moments": {"0": 1.0, "%s": 0.5, "%s": 9.0}}' % keys
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            load_moment_file(text.encode())
 
     def test_file_requires_blocks(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -671,10 +671,11 @@ class TestReduceStreaming:
 
 
 class TestTreeMemory:
-    """The tree keeps n-length indices and weights between levels and builds
-    feature columns 4,096 atoms at a time, so its traced peak stays far
-    below one D x 65,536 column matrix (63 MiB at D = 126, 10 MiB at
-    D = 20).  The measure is built before tracing starts."""
+    """Each block of 32,768 atoms gets its own tree, which keeps three
+    numbers per atom (index, weight and group) and builds feature columns
+    4,096 atoms at a time, so the traced peak stays far below one
+    D x 65,536 column matrix (63 MiB at D = 126, 10 MiB at D = 20).  The
+    measure is built before tracing starts."""
 
     @staticmethod
     def _traced_peak(measure, features):
@@ -708,9 +709,9 @@ class TestTreeMemory:
         assert peak <= 10 * 2**20, peak
 
     def test_peak_at_d20_is_the_weights_and_survivors(self):
-        # The tree's copy of the weights and its atom indices (1.5 MiB
-        # each), plus O(D * 4,096) blocks.  Two np.repeat spreads of the
-        # group masses over all atoms made this 6.1 MiB.
+        # One block's weights, atom indices and group indices (256 KiB
+        # each) with a level's temporaries of the same length, plus
+        # O(D * 4,096) blocks: 1.8 MiB.
         rng = np.random.default_rng(53)
         n = 200_000
         measure = DiscreteMeasure(rng.uniform(-1.0, 1.0, (n, 3)), rng.uniform(0.1, 2.0, n))

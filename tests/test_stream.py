@@ -27,7 +27,7 @@ from momcube import (
     reduce,
     verify_cubature,
 )
-from momcube import measure
+from momcube import measure, recomb
 from momcube.cli import main
 
 B = measure._READ_BLOCK
@@ -110,6 +110,42 @@ class TestCommandsMatchTheLibrary:
         assert report.initial_atoms == 3 * B + 5 and report.final_atoms <= 20
 
 
+def test_blocks_merge_in_binary_counter_order():
+    # Seven blocks: the end of the pass merges the leftover levels 1 and 0,
+    # then 2, which a power-of-two block count never reaches.
+    rows = 20
+    basis = build_basis(2, [1, 1], 2)
+    rng = np.random.default_rng(77)
+    blocks = [(rng.uniform(-1.0, 1.0, (rows, 2)), rng.uniform(0.1, 2.0, rows))
+              for _ in range(7)]
+    calls = []  # (rows in, rows out) of each reduction
+    recombine = recomb._recombine
+
+    def record(piece_rows, *args):
+        out = recombine(piece_rows, *args)
+        calls.append((piece_rows, out[0]))
+        return out
+
+    with mock.patch.object(recomb, "_recombine", wraps=record):
+        _, report = recomb._reduce_blocks(iter(blocks), basis, measure._MomentSums(basis))
+    assert report.initial_atoms == 7 * rows
+
+    carried = {}  # a result's rows -> the blocks it stands for
+    merged = []
+    for rows_in, rows_out in calls:
+        assert (np.diff(rows_in) > 0).all()  # older rows first
+        if rows_in.shape[0] == rows:  # a block as read; a union has <= 2D = 12
+            label = str(rows_in[0] // rows + 1)
+        else:
+            label = next(carried[a] + carried[b] for a in carried for b in carried
+                         if a + b == tuple(rows_in.tolist()))
+        carried[tuple(rows_out.tolist())] = label
+        merged.append(label)
+    assert merged == [
+        "1", "2", "12", "3", "4", "34", "1234", "5", "6", "56", "7", "567", "1234567",
+    ]
+
+
 class TestStreamedSums:
     def test_moments_and_mass_of_weights_spanning_40_decades(self):
         rng = np.random.default_rng(4040)
@@ -117,7 +153,7 @@ class TestStreamedSums:
         atoms = rng.uniform(-1.0, 1.0, (n, 3))
         weights = 10.0 ** rng.uniform(-20.0, 20.0, n)
         text = "\n".join(_csv_lines(atoms, weights)) + "\n"
-        sums = measure._MomentSums(BASIS, mass=True)
+        sums = measure._MomentSums(BASIS)
         for block_atoms, block_weights in measure._read_blocks(text.encode(), "csv", 3):
             sums.add(block_atoms, block_weights)
         loaded = load_measure(text.encode(), "csv", num_vars=3)
