@@ -10,9 +10,9 @@ as its flag.  Exit codes: 0 success (verification passed / feasible),
 
 ``reduce``, ``verify`` and ``moments`` read the measure file once, in
 blocks of 32,768 rows (``measure._read_blocks``), and never hold the whole
-measure: ``reduce`` feeds the blocks to the merge-and-reduce engine and, in
-the same pass, the verifier's moments and mass; ``verify`` and ``moments``
-feed them to the same accumulators that ``verify_cubature`` and
+measure: ``reduce`` feeds the blocks to the merge-and-reduce engine, which
+in the same pass feeds the verifier's moments and mass; ``verify`` and
+``moments`` feed them to the same accumulators that ``verify_cubature`` and
 ``moment_vector`` use.  A fault in the file is reported when its block is
 read, with the line number ``load_measure`` gives.  ``feasible`` loads its
 grid whole, since the feasibility system holds every grid point.
@@ -47,7 +47,7 @@ from .measure import (
     load_measure,
 )
 from .recomb import Cubature, _reduce_blocks
-from .verify import _verification, _verify_blocks
+from .verify import _verify_blocks
 
 # The benchmark's tracer (perfbench/tracing.py) wraps these names here
 # whenever it traces, so they stay until the benchmark's wrap list drops
@@ -249,15 +249,11 @@ def _write_json(out_dir: str, name: str, payload: dict) -> Path:
 def cmd_reduce(cfg: argparse.Namespace) -> int:
     num_vars, blocks = _read_input(cfg)
     basis = _require_basis(cfg, num_vars)
-    # One pass: the blocks feed the reduction and, in the same sums, the
-    # verifier's moments and mass.  The nodes are the rows as read.
-    sums = _MomentSums(basis)
+    # One pass: the blocks feed the reduction and the verifier's moments.
     try:
-        cubature, report = _reduce_blocks(blocks, basis, sums)
+        cubature, report, verification = _reduce_blocks(blocks, basis)
     except (ValueError, np.linalg.LinAlgError) as exc:
         raise CliError(f"reduction failed: {exc}") from exc
-
-    verification = _verification(sums, cubature.nodes, cubature, basis)
     passed = verification.passes(cfg.tol, cfg.mass_tol)
 
     _write_json(cfg.out_dir, "cubature.json", cubature.to_dict(basis.to_config()))
@@ -358,11 +354,16 @@ def _load_cubature_file(path: str) -> tuple[Cubature, MonomialBasis]:
     data = _read_json(path, "cubature file")
     try:
         basis = basis_from_config(data["basis"])
+        degree = data.get("degree")
+        if not _is_json_integer(degree) or degree != basis.max_degree:
+            raise ValueError(
+                f"'degree' must be the basis's max_degree {basis.max_degree}, got {degree!r}"
+            )
         cubature = Cubature(
             node_indices=_json_array(data, "node_indices", _is_json_integer, "integers", np.int64),
             nodes=_json_array(data, "nodes", _is_json_number, "numbers", float),
             weights=_json_array(data, "weights", _is_json_number, "numbers", float),
-            degree=data.get("degree"),
+            degree=degree,
             basis_id=basis.identifier,
         )
     except (KeyError, TypeError, ValueError, BasisError) as exc:

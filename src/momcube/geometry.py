@@ -360,8 +360,11 @@ def _decide_membership(
 
 
 def _as_target(moments) -> np.ndarray:
-    target = np.asarray(moments, dtype=float).reshape(-1)
-    if not np.isfinite(target).all():
+    try:
+        target = np.asarray(moments, dtype=float).reshape(-1)
+    except OverflowError:  # an integer beyond the float range
+        target = None
+    if target is None or not np.isfinite(target).all():
         raise ValueError("moment vector must be finite")
     return target
 
@@ -455,7 +458,7 @@ def truncated_moment_feasible(
     if extra:
         raise ValueError(f"unexpected moment keys: {sorted(extra)[:5]}")
 
-    values = {tuple(int(e) for e in k): float(v) for k, v in moment_values.items()}
+    values = {tuple(int(e) for e in k): _json_float(v) for k, v in moment_values.items()}
     mass = values[(0,) * num_vars]
     if not np.isfinite(mass) or mass <= 0.0:
         raise ValueError(f"total mass (constant moment) must be positive, got {mass}")

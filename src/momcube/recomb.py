@@ -22,18 +22,20 @@ The engine has four layers:
   (Har-Peled & Mazumdar 2004): each block is reduced by one tree in its own
   rescale, equal-level results are merged pairwise like a binary counter
   and the union of their at most 2D atoms is reduced again.  In the same
-  pass it accumulates the moments and the exact mass, and it assembles the
-  output in original coordinates.  A measure of one block is one tree over
-  all atoms.
-* ``_tree`` runs tree recombination (Litterer & Lyons 2012; Maalouf,
-  Jubran & Feldman 2019) rather than one elimination per atom: each level
-  splits the live atoms into 2D contiguous groups, reduces the D x 2D
-  weighted group means, rescales the atom weights of the at most D
+  pass it accumulates the moments and the exact mass, and at the end it
+  assembles the output in original coordinates and checks it with
+  ``verify._verification``, whose residual the report carries.  A measure
+  of one block is one tree over all atoms.
+* ``_tree`` takes a piece, one block or the union of two results, in the
+  piece's own rescale, and runs tree recombination (Litterer & Lyons 2012;
+  Maalouf, Jubran & Feldman 2019) rather than one elimination per atom:
+  each level splits the live atoms into 2D contiguous groups, reduces the
+  D x 2D weighted group means, rescales the atom weights of the at most D
   surviving groups and drops the rest, so every level costs one small
-  reduction and roughly halves the atoms.  Its atoms are one block or
-  the union of two results, and it holds three numbers per atom of them:
-  index, weight and group.  Each level builds the feature columns again,
-  4,096 atoms at a time, so extra memory is O(D * 4,096) on top.
+  reduction and roughly halves the atoms.  It holds three numbers per atom
+  of the piece: index, weight and group.  Each level builds the feature
+  columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
+  on top.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
   applied to a D x n column matrix of at most 2D columns: a level's group
@@ -69,11 +71,16 @@ from .measure import (
     _feature_block,
     _finite_or_none,
     _MomentSums,
-    _relative_residuals,
     _views,
     feature_count,
-    moment_vector,
 )
+from .verify import VerificationReport, _verification
+
+# The benchmark's tracer (perfbench/tracing.py) wraps this name here
+# whenever it traces, so it stays until the benchmark's wrap list drops it.
+# This module does not call it: the reduction's moments come from
+# ``verify._verification``.
+from .measure import moment_vector  # noqa: F401
 
 _EPS = np.finfo(float).eps
 # The ufunc reductions behind ndarray.any, .max and .sum, called directly:
@@ -166,17 +173,19 @@ class ReductionReport:
     and SVDs, closing full-rank checks included.  ``weight_ratio`` is the
     largest final weight over the smallest, and ``node_condition`` the
     ratio of the extreme singular values of the nodes' feature columns in
-    the internal (rescaled) coordinates, infinite when they are singular.
+    the coordinates of ``rescaling`` (original ones for dictionaries),
+    infinite when they are singular.  ``max_moment_residual_rel`` is the
+    ``max_residual_rel`` of the verification that the reduction ran.
     ``to_dict`` writes a float that is not finite as None (JSON null).
 
     A measure of more than 32,768 atoms is reduced block by block and the
     results are merged (``_reduce_blocks``), each reduction in its own
     rescale.  Then the counts add up over all reductions; ``rescaling`` is
     the map of the whole measure's box, ``rank_tol_factor`` the largest
-    factor any reduction used, ``detected_rank`` the largest rank any
-    reduction detected, and ``node_condition`` comes from the last
-    reduction, in its coordinates.  On one block every field is that of
-    the one tree.
+    factor any reduction used, and ``detected_rank`` the largest rank any
+    reduction detected, or the node count if that is larger, since the
+    closing full-rank check certifies the nodes independent.  On one block
+    every field is that of the one tree.
     """
 
     initial_atoms: int
@@ -417,42 +426,53 @@ def _columns(features: Features, pts: np.ndarray, rescale: tuple | None) -> np.n
     return _feature_block(features, pts)
 
 
-def _tree(
-    atoms: np.ndarray,
-    weights: np.ndarray,
-    features: Features,
-    rescale: tuple | None,
-    tol_factor: float,
-    tracker: _SpanTracker,
-):
-    """Tree recombination over all of ``atoms``, weighted by ``weights``.
+@dataclass
+class _Totals:
+    """What the trees of one ``_reduce_blocks`` pass add up to."""
 
-    ``rescale`` is ``_rescale``'s (shift, scale) arrays for a monomial
-    basis, or None.  Returns (surviving atom positions, their weights, their
-    feature columns, elimination steps, factorizations, tree levels).
-    ``atoms`` is one block or the union of two results, and the tree holds
-    three numbers for each of its live atoms: position, weight and group.
-    Each level splits the live atoms into 2D contiguous groups and divides
-    every weight by its group's mass, so shares lie in [0, 1] and weights
-    may span the float range, subnormals included.  It builds the feature
-    columns (rescaled, for a monomial basis) 4,096 atoms at a time, weights
-    them by the shares in place and adds their per-group sums into the
-    D x 2D group means.  ``_sweep`` reduces the means; each atom then gets
-    its share of its group's new mass, and atoms left at 0 (a removed group,
-    or an underflow) are dropped.  The first level also feeds ``tracker``,
-    in slices of 2D columns, so no pass is spent on the rank alone.  At most
-    2D atoms go to ``_sweep`` as the base case, whose columns are the only
-    ones to outlive a block of 4,096.  A level whose group means cancel, so
-    that no group can be removed, gives every atom its weight back and
-    returns its more than 2D atoms unreduced, with no columns.
+    steps: int = 0
+    factorizations: int = 0
+    levels: int = 0
+    rank: int = 0
+    tol_factor: float = 1.0
+
+
+def _tree(rows, atoms, weights, features: Features, totals: _Totals):
+    """Tree recombination over a piece: a block as read, or the union of two
+    earlier results.
+
+    ``rows`` are the piece's global atom indices and ``atoms`` its original
+    coordinates.  For a monomial basis the tree works in the piece's own
+    [-1, 1]^N rescale.  Returns the survivors' (rows, atoms, weights), more
+    than D of them when the piece's feature sums cancel, and adds the tree's
+    counts into ``totals``.  The tree holds three numbers for each of its
+    live atoms: position, weight and group.  Each level splits the live
+    atoms into 2D contiguous groups and divides every weight by its group's
+    mass, so shares lie in [0, 1] and weights may span the float range,
+    subnormals included.  It builds the feature columns (rescaled, for a
+    monomial basis) 4,096 atoms at a time, weights them by the shares in
+    place and adds their per-group sums into the D x 2D group means.
+    ``_sweep`` reduces the means; each atom then gets its share of its
+    group's new mass, and atoms left at 0 (a removed group, or an underflow)
+    are dropped.  The first level also feeds a ``_SpanTracker``, in slices
+    of 2D columns, so no pass is spent on the rank alone.  At most 2D atoms
+    go to ``_sweep`` as the base case.  A level whose group means cancel, so
+    that no group can be removed, gives every atom its weight back and ends
+    the tree with its more than 2D atoms unreduced.
     """
-    dim = tracker.dim
-    groups = 2 * dim
+    rescale = None
+    tol_factor = 1.0
     project_constant = isinstance(features, MonomialBasis)
+    if project_constant:
+        shift, scale, tol_factor = _rescale(atoms)
+        rescale = shift, scale
+    dim = feature_count(features)
+    tracker = _SpanTracker(dim, tol_factor)
+    groups = 2 * dim
     n = atoms.shape[0]
     pos = np.arange(n)  # live atom indices
     w = weights.copy()
-    steps = factorizations = levels = 0
+    levels = 0
     while n > groups:
         bounds = (np.arange(groups + 1) * n) // groups
         group = np.repeat(np.arange(groups), np.diff(bounds))
@@ -473,8 +493,8 @@ def _tree(
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
             del cols  # freed before the next block is built
         kept, new_mass, s, f = _sweep(means, mass, project_constant, tol_factor)
-        steps += s
-        factorizations += f
+        totals.steps += s
+        totals.factorizations += f
         # When the means cancel, every group is kept at its own mass.
         group_mass = np.zeros(groups)
         group_mass[kept] = new_mass
@@ -484,92 +504,53 @@ def _tree(
         pos = pos[live]
         n = w.shape[0]
         if kept.shape[0] == groups:
-            return pos, w, None, steps, factorizations, levels
+            break  # no group removed: the atoms stay unreduced, no base case
         levels += 1
-    cols = _columns(features, atoms[pos], rescale)
-    if not levels:
-        tracker.add(cols)
-    sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
-    return pos[sub], w, cols[:, sub], steps + s, factorizations + f, levels
-
-
-@dataclass
-class _Totals:
-    """What the reductions of one ``_reduce_blocks`` pass add up to."""
-
-    steps: int = 0
-    factorizations: int = 0
-    levels: int = 0
-    rank: int = 0
-    tol_factor: float = 1.0
-    # The node columns of the latest reduction, in its own coordinates.
-    cols: np.ndarray | None = None
-
-
-def _recombine(rows, atoms, weights, features: Features, totals: _Totals):
-    """One tree over a piece, in the piece's own [-1, 1]^N rescale for a
-    monomial basis: a block as read, or the union of two earlier results.
-
-    ``rows`` are the piece's global atom indices, ``atoms`` its original
-    coordinates.  Returns the survivors' (rows, atoms, weights), more than
-    D of them when the piece's feature sums cancel, and adds the tree's
-    counts into ``totals``.
-    """
-    rescale = None
-    tol_factor = 1.0
-    if isinstance(features, MonomialBasis):
-        shift, scale, tol_factor = _rescale(atoms)
-        rescale = shift, scale
-    tracker = _SpanTracker(feature_count(features), tol_factor)
-    idx, w, cols, steps, factorizations, levels = _tree(
-        atoms, weights, features, rescale, tol_factor, tracker
-    )
-    totals.steps += steps
-    totals.factorizations += factorizations
+    else:
+        cols = _columns(features, atoms[pos], rescale)
+        if not levels:
+            tracker.add(cols)
+        sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
+        totals.steps += s
+        totals.factorizations += f
+        pos = pos[sub]
     totals.levels += levels
-    # The final full-rank certificate proves the survivors are independent,
-    # so the detected rank is at least their count.
-    totals.rank = max(totals.rank, tracker.rank, int(idx.shape[0]))
+    totals.rank = max(totals.rank, tracker.rank)
     totals.tol_factor = max(totals.tol_factor, tol_factor)
-    totals.cols = cols
-    return rows[idx], atoms[idx], w
-
-
-def _merge(older, newer, features: Features, totals: _Totals):
-    """``_recombine`` of the union of two results, older rows first."""
-    return _recombine(
-        *(np.concatenate(parts) for parts in zip(older, newer)), features, totals
-    )
+    return rows[pos], atoms[pos], w
 
 
 def _reduce_blocks(
-    blocks, features: Features, sums: _MomentSums
-) -> tuple[Cubature, ReductionReport]:
+    blocks, features: Features
+) -> tuple[Cubature, ReductionReport, VerificationReport]:
     """``reduce`` by merge-and-reduce over (atoms, weights) blocks read
     once, in order: the one engine behind ``reduce`` and ``momcube reduce``.
+    Returns (cubature, report, verification).
 
-    Each block is reduced by its own tree (``_recombine``) and pushed on a
-    stack of (level, result) pairs, a binary counter: while the top has the
-    new result's level, the two are merged, older rows first, and the union
-    of their at most 2D atoms is reduced again, one level up (Har-Peled &
+    Each block is reduced by its own tree (``_tree``) and pushed on a stack
+    of (level, result) pairs, a binary counter: while the top has the new
+    result's level, the two are merged, older rows first, and the union of
+    their at most 2D atoms is reduced again, one level up (Har-Peled &
     Mazumdar 2004; Maalouf, Jubran & Feldman 2019).  The results left at
     the end are merged from the top, the lowest level, down.  So one block
     and about log2(blocks) results of at most D atoms are held at a time.
     Recombination is exact on each piece and moments add, so the nodes
     carry the moments of all blocks.  One block gives one tree over it.
 
-    Each block goes into ``sums`` (moments and exact mass) before it is
-    reduced, so a moment that overflows, or a dictionary that fails on an
-    atom, stops the pass at its block and names the atom by its global row;
-    after the call ``sums`` holds the whole measure's, for a verifier to
-    share.  A ``FunctionDictionary`` is deterministic, so the trees, which
-    evaluate it again at the same atoms, cannot fail where ``sums`` passed.
-    A result whose feature sums cancel keeps its atoms unreduced, since
-    later blocks may undo the cancellation, so more than D survivors are an
-    error only at the end.
+    Each block goes into one ``_MomentSums`` (moments and exact mass)
+    before it is reduced, so a moment that overflows, or a dictionary that
+    fails on an atom, stops the pass at its block and names the atom by its
+    global row.  A ``FunctionDictionary`` is deterministic, so the trees,
+    which evaluate it again at the same atoms, cannot fail where the sums
+    passed.  At the end the sums go to ``verify._verification`` with the
+    nodes as read, and the report's residual is the verification's.  A
+    result whose feature sums cancel keeps its atoms unreduced, since later
+    blocks may undo the cancellation, so more than D survivors are an error
+    only at the end.
     """
     dim = feature_count(features)
     is_monomial = isinstance(features, MonomialBasis)
+    sums = _MomentSums(features)
     stack = []  # (level, result of 2**level blocks), levels falling to the top
     totals = _Totals()
     box = None  # per coordinate, the least and the largest value so far
@@ -581,15 +562,15 @@ def _reduce_blocks(
             [np.minimum(box[0], lo_hi[0]), np.maximum(box[1], lo_hi[1])]
         )
         rows = np.arange(offset, offset + weights.shape[0])
-        piece = _recombine(rows, atoms, weights, features, totals)
+        piece = _tree(rows, atoms, weights, features, totals)
         level = 0
         while stack and stack[-1][0] == level:
-            piece = _merge(stack.pop()[1], piece, features, totals)
+            piece = _tree(*map(np.concatenate, zip(stack.pop()[1], piece)), features, totals)
             level += 1
         stack.append((level, piece))
     _, piece = stack.pop()
     while stack:
-        piece = _merge(stack.pop()[1], piece, features, totals)
+        piece = _tree(*map(np.concatenate, zip(stack.pop()[1], piece)), features, totals)
     idx, nodes, w = piece
     if idx.shape[0] > dim:
         raise ValueError(
@@ -598,15 +579,14 @@ def _reduce_blocks(
             "on at most D atoms was found"
         )
 
+    rescale = rescaling = None
     if is_monomial:
         # The constant monomial is entry 0, so total mass is itself a moment;
         # pin it exactly by one global rescale of the surviving weights.
         w = w * (sums.mass / math.fsum(w.tolist()))
-    target = sums.moments()
-    achieved = moment_vector(DiscreteMeasure(atoms=nodes, weights=w), features)
-    residual = float(_relative_residuals(achieved, target).max())
-    svals = np.linalg.svd(totals.cols, compute_uv=False)
-
+        shift, scale, _ = _rescale(box)
+        rescale = shift, scale
+        rescaling = {"shift": shift.tolist(), "scale": scale.tolist()}
     cubature = Cubature(
         node_indices=idx,
         nodes=nodes,
@@ -614,16 +594,15 @@ def _reduce_blocks(
         degree=features.max_degree if is_monomial else None,
         basis_id=features.identifier,
     )
-    rescaling = None
-    if is_monomial:
-        shift, scale, _ = _rescale(box)
-        rescaling = {"shift": shift.tolist(), "scale": scale.tolist()}
+    verification = _verification(sums, nodes, cubature, features)
+    svals = np.linalg.svd(_columns(features, nodes, rescale), compute_uv=False)
     report = ReductionReport(
         initial_atoms=sums.count,
-        final_atoms=int(idx.shape[0]),
+        final_atoms=cubature.num_nodes,
         elimination_steps=totals.steps,
-        detected_rank=totals.rank,
-        max_moment_residual_rel=residual,
+        # The closing full-rank check certifies the final nodes independent.
+        detected_rank=max(totals.rank, cubature.num_nodes),
+        max_moment_residual_rel=verification.max_residual_rel,
         rescaling=rescaling,
         tree_levels=totals.levels,
         rank_tol_factor=totals.tol_factor,
@@ -632,7 +611,7 @@ def _reduce_blocks(
         weight_ratio=float(w.max()) / float(w.min()),
         node_condition=float(svals[0] / svals[-1]) if svals[-1] > 0.0 else math.inf,
     )
-    return cubature, report
+    return cubature, report, verification
 
 
 def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, ReductionReport]:
@@ -663,7 +642,7 @@ def reduce(measure: DiscreteMeasure, features: Features) -> tuple[Cubature, Redu
             f"basis expects {features.num_vars} coordinates, "
             f"measure has {measure.num_vars}"
         )
-    return _reduce_blocks(_views(measure), features, _MomentSums(features))
+    return _reduce_blocks(_views(measure), features)[:2]
 
 
 # The benchmark's tracer (perfbench/tracing.py) wraps this name whenever it

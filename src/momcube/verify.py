@@ -14,17 +14,19 @@ exact mass accumulate in ``measure._MomentSums``, in original coordinates,
 and the measure's rows at the node indices are picked up as their blocks
 go by.  ``verify_cubature`` feeds it views of an in-memory measure and
 ``momcube verify`` the blocks of its file, so neither holds the whole
-measure.  ``_verification`` builds the report from a finished pass.
-``momcube reduce`` reads its file once, so it calls ``_verification`` with
-the sums of the pass that also fed the reduction, and with the node rows
-as read; the engine only reads those sums, and its rescales never reach
-them.
+measure.  ``_verification`` builds the report from a finished pass.  The
+reduction (``recomb._reduce_blocks``) reads its blocks once, so it calls
+``_verification`` with the sums of the pass that also fed its trees, and
+with the node rows as read; the trees only read those blocks, and their
+rescales never reach the sums.  So a reduction's achieved moments and
+residual are computed here and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,7 +40,9 @@ from .measure import (
     feature_count,
     moment_vector,
 )
-from .recomb import Cubature
+
+if TYPE_CHECKING:  # recomb imports this module, for _verification
+    from .recomb import Cubature
 
 
 @dataclass(frozen=True)

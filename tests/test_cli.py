@@ -346,6 +346,18 @@ class TestVerifyCommand:
         assert repr(field) in capsys.readouterr().err
         assert not (tmp_path / "check" / "verification_report.json").exists()
 
+    @pytest.mark.parametrize("degree, max_degree", [
+        (7, 2), (1, 2), (2.0, 2), ("x", 2), (None, 2), (True, 1),
+    ], ids=["other", "lower", "float", "string", "null", "true-for-1"])
+    def test_degree_other_than_the_basis_exits_two(
+        self, tmp_path, capsys, degree, max_degree
+    ):
+        basis = {"num_vars": 1, "degree_weights": [1], "max_degree": max_degree}
+        assert self._verify_identity(tmp_path, degree=degree, basis=basis) == 2
+        err = capsys.readouterr().err
+        assert "bad cubature file" in err and "'degree'" in err
+        assert not (tmp_path / "check" / "verification_report.json").exists()
+
     def test_basis_of_other_dimension_exits_two(self, tmp_path, capsys):
         measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")
         out = tmp_path / "out"

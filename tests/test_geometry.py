@@ -164,6 +164,11 @@ class TestConeMembership:
         verification = verify_cubature(witness, cubature, basis)
         assert verification.max_residual_rel <= 1e-8
 
+    def test_integer_beyond_the_float_range_is_refused(self):
+        # np.asarray of a 400-digit integer raised OverflowError, a traceback.
+        with pytest.raises(ValueError, match="^moment vector must be finite$"):
+            cone_membership([10**400, 1.0], np.eye(2))
+
 
 class TestHullMembership:
     def test_mean_of_two_atoms(self):
@@ -272,6 +277,16 @@ class TestTruncatedMomentFeasible:
         # overflow warning before the target was checked.
         with pytest.raises(ValueError, match="^moment vector must be finite$"):
             truncated_moment_feasible({(0,): 1e-300, (1,): 1e10}, [[0.0]], 1, [1], 1)
+
+    @pytest.mark.parametrize("moments, message", [
+        ({(0,): 10**400, (1,): 0.0}, r"^total mass \(constant moment\) must be positive, got inf$"),
+        ({(0,): 1, (1,): -10**400}, "^moment vector must be finite$"),
+    ], ids=["mass", "moment"])
+    def test_integer_beyond_the_float_range_is_refused(self, moments, message):
+        # float() of a 400-digit integer raised OverflowError, a traceback;
+        # it reads as +-inf, as load_moment_file reads it.
+        with pytest.raises(ValueError, match=message):
+            truncated_moment_feasible(moments, [[0.0]], 1, [1], 1)
 
     @pytest.mark.parametrize(
         "grid, ncoords",

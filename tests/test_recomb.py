@@ -619,6 +619,9 @@ class TestReduceStreaming:
         np.testing.assert_allclose(achieved, target, rtol=1e-12)
         assert report.max_moment_residual_rel <= 1e-12
         assert report.elimination_steps < 1000
+        # The merge of the two symmetric blocks' results cancels and keeps
+        # 2 atoms unreduced; they are not independent, so D = 1 stays the rank.
+        assert report.detected_rank == 1
         again, _ = reduce(measure, features)
         np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
         np.testing.assert_array_equal(again.weights, cubature.weights)

@@ -19,8 +19,10 @@ import numpy as np
 import pytest
 
 from momcube import (
+    DiscreteMeasure,
     MeasureFormatError,
     build_basis,
+    embed_block,
     load_measure,
     moment_vector,
     moments_to_dict,
@@ -119,15 +121,15 @@ def test_blocks_merge_in_binary_counter_order():
     blocks = [(rng.uniform(-1.0, 1.0, (rows, 2)), rng.uniform(0.1, 2.0, rows))
               for _ in range(7)]
     calls = []  # (rows in, rows out) of each reduction
-    recombine = recomb._recombine
+    tree = recomb._tree
 
     def record(piece_rows, *args):
-        out = recombine(piece_rows, *args)
+        out = tree(piece_rows, *args)
         calls.append((piece_rows, out[0]))
         return out
 
-    with mock.patch.object(recomb, "_recombine", wraps=record):
-        _, report = recomb._reduce_blocks(iter(blocks), basis, measure._MomentSums(basis))
+    with mock.patch.object(recomb, "_tree", wraps=record):
+        _, report, _ = recomb._reduce_blocks(iter(blocks), basis)
     assert report.initial_atoms == 7 * rows
 
     carried = {}  # a result's rows -> the blocks it stands for
@@ -144,6 +146,17 @@ def test_blocks_merge_in_binary_counter_order():
     assert merged == [
         "1", "2", "12", "3", "4", "34", "1234", "5", "6", "56", "7", "567", "1234567",
     ]
+
+
+def test_node_condition_is_taken_in_the_reported_rescale():
+    # Three blocks, each reduced in its own rescale: the condition number is
+    # that of the nodes' columns in the whole measure's map, as reported.
+    atoms, weights = _draws(2 * B + 5, 3)
+    cubature, report = reduce(DiscreteMeasure(atoms, weights), BASIS)
+    shift, scale = (np.array(report.rescaling[key]) for key in ("shift", "scale"))
+    cols = embed_block(BASIS, (cubature.nodes - shift) / scale)
+    svals = np.linalg.svd(cols, compute_uv=False)
+    assert report.node_condition == svals[0] / svals[-1]
 
 
 class TestStreamedSums:
