@@ -122,11 +122,15 @@ def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
     Returns:
         MonomialBasis with deterministic graded-lex ordering, constant first.
 
-    Raises BasisError past DEFAULT_DIMENSION_CAP entries.
+    Raises BasisError on an argument of the wrong type or value, and past
+    DEFAULT_DIMENSION_CAP entries.
     """
-    if weights is None:
-        weights = [1] * int(num_vars) if num_vars else []
-    degree_fn = DegreeFunction(num_vars, tuple(weights))
+    n = _check_positive_int(num_vars, "num_vars")
+    try:
+        weights = (1,) * n if weights is None else tuple(weights)
+    except TypeError:
+        raise BasisError(f"degree weights must be a list, got {weights!r}") from None
+    degree_fn = DegreeFunction(n, weights)
     if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
         raise BasisError(f"max_degree must be an integer, got {max_degree!r}")
     if max_degree < 0:
@@ -157,6 +161,8 @@ def basis_from_config(config: dict) -> MonomialBasis:
     Expected keys: "num_vars", "max_degree", optional "degree_weights"
     (defaults to all ones).
     """
+    if not isinstance(config, dict):
+        raise BasisError(f"basis config must be an object, got {type(config).__name__}")
     try:
         num_vars = config["num_vars"]
         max_degree = config["max_degree"]

@@ -155,7 +155,7 @@ def _read_json(path: str, what: str) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"{what} {path} must hold a JSON object")

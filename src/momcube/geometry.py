@@ -549,7 +549,10 @@ def load_moment_file(source) -> tuple[MonomialBasis, dict[MultiIndex, float]]:
     decide the verdict.
     """
     with _open_text(source) as fh:
-        data = json.load(fh, object_pairs_hook=_distinct_keys)
+        try:
+            data = json.load(fh, object_pairs_hook=_distinct_keys)
+        except RecursionError as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
     if not isinstance(data, dict) or "basis" not in data or "moments" not in data:
         raise ValueError('moment file needs "basis" and "moments" entries')
     basis = basis_from_config(data["basis"])

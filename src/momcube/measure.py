@@ -17,17 +17,17 @@ accumulator fed by views, and the CLI feeds the same accumulator from the
 reader, so neither holds the whole measure.  ``load_measure`` is the same
 reader with no row limit: one block, the whole file.
 
-CSV ingest has two paths over the same text.  ``_parse_csv`` reads line by
+CSV ingest has two paths over the same text.  ``_csv_rows`` reads line by
 line and is the definition of the format: every rule and every
 ``MeasureFormatError`` message, with its line number, comes from it.  In
-front of it, ``_load_csv_block`` parses a block of rows in one
-``np.loadtxt`` call and checks the rules on the resulting array.  It either
-returns exactly what the line parser would, or declines, and then the line
-parser reads the file from the start, skipping the rows already delivered.
-Both line parsers, CSV and JSONL, yield checked (coordinates, weight) rows,
-and one assembler, ``_line_blocks``, packs those rows into blocks over flat
-``array("d")`` buffers.  ``_open_text`` decodes measure, moment, config and
-cubature text alike (UTF-8, a leading byte-order mark dropped).
+front of it, ``_csv_blocks`` parses each block of rows in one
+``np.loadtxt`` call and checks the rules on the array; on the first refusal
+or broken rule, the line parser reads the file from the start and goes on
+from the rows already delivered.  Both line parsers, CSV and JSONL, yield
+checked (coordinates, weight) rows, and one assembler, ``_line_blocks``,
+packs those rows into blocks over flat ``array("d")`` buffers.
+``_open_text`` decodes measure, moment, config and cubature text alike
+(UTF-8, a leading byte-order mark dropped).
 
 Array ownership: ``DiscreteMeasure(atoms, weights)`` copies its inputs, so
 a caller may go on writing to its own arrays.  ``load_measure`` builds the
@@ -290,18 +290,9 @@ def _line_blocks(rows_of, rows=None, skip=0):
         yield np.frombuffer(atoms).reshape(len(weights), -1), np.frombuffer(weights)
 
 
-def _parse_csv(text_file, num_vars, rows=None, skip=0):
-    """(atoms, weights) blocks of ``rows`` rows (None: one block of all
-    rows), read line by line from the start.
-
-    Every line is checked; the first ``skip`` data rows, which the block
-    parse has already delivered, are not yielded again.
-    """
-    return _line_blocks(_csv_rows(text_file, num_vars), rows, skip)
-
-
 def _csv_rows(text_file, num_vars):
-    """Each CSV data row as (coordinates, weight), once it passes the rules."""
+    """Each CSV data row as (coordinates, weight), once it passes the rules:
+    the definition of the format."""
     ncols = None
     for lineno, raw in enumerate(text_file, start=1):
         line = raw.strip()
@@ -337,79 +328,61 @@ def _csv_rows(text_file, num_vars):
         yield row, w
 
 
-def _load_csv_block(text_file, num_vars, rows=None, width=None):
-    """The next block of at most ``rows`` data rows (None: all that are
-    left) from one ``np.loadtxt`` call, as (atoms, weights, width), or None
-    to decline.
+def _csv_blocks(text_file, num_vars, rows):
+    """(atoms, weights) blocks of ``rows`` data rows (None: one block of all
+    rows), each parsed by one ``np.loadtxt`` call and checked on the array.
 
-    The first block (``width`` None) starts after blank lines and a header
-    (by ``_parse_csv``'s rule: a first non-blank line in which no cell
-    parses as a float); a later block must have the first block's
-    ``width`` columns, and is empty at the end of the file.  The rules are
-    checked on the array.  ``loadtxt`` refuses a superset of what
-    ``float()`` refuses (underscores, non-ASCII digits, whitespace-only
-    lines, empty, quoted or ``#`` cells), and where both accept a cell they
-    give the same double.  So any input this returns None for (a refusal, a
-    first block with no data, or a broken rule) is left to the line parser,
-    which accepts it or names the offending line.
+    Blank lines are skipped, and so is a header (by ``_csv_rows``'s rule: a
+    first non-blank line in which no cell parses as a float); every block
+    must have the header's or else the first block's width.  ``loadtxt``
+    refuses a superset of what ``float()`` refuses (underscores, non-ASCII
+    digits, whitespace-only lines, empty, quoted or ``#`` cells), and where
+    both accept a cell they give the same double.  So on a refusal or a
+    broken rule the line parser reads the file again and goes on from the
+    rows already delivered: it accepts the input or names the offending
+    line.
     """
-    header = None  # the header's width, once one is seen
-    while True:
-        line = text_file.readline()
-        if not line:
-            if width is None:
-                return None
-            return np.empty((0, width)), np.empty(0), width
+    width = None  # the header's width, then the data's
+    delivered = 0
+    for line in text_file:
         if not line.strip():
             continue
-        if width is not None or header is not None:
+        if width is None:  # the first non-blank line
+            cells = [c.strip() for c in line.strip().split(",")]
+            if not any(map(_parses_as_float, cells)):
+                width = len(cells)
+                continue
+        try:
+            with warnings.catch_warnings():
+                # With max_rows, numpy >= 1.23 warns that blank lines no longer
+                # count as rows; the line parser does not count them either.
+                warnings.simplefilter("ignore", UserWarning)
+                # The line in hand, then the file from where it stopped: loadtxt
+                # iterates a file's lines, so the next block starts at the next
+                # row.  comments=None: "#" is a non-numeric value, not a comment.
+                data = np.loadtxt(
+                    itertools.chain([line], text_file), delimiter=",", comments=None,
+                    ndmin=2, dtype=float, max_rows=rows,
+                )
+        except ValueError:
             break
-        cells = [c.strip() for c in line.strip().split(",")]
-        if any(map(_parses_as_float, cells)):
+        width = width or data.shape[1]
+        if data.shape[1] != width or not np.isfinite(data).all():
             break
-        header = len(cells)
-    try:
-        with warnings.catch_warnings():
-            # With max_rows, numpy >= 1.23 warns that blank lines no longer
-            # count as rows; the line parser does not count them either.
-            warnings.simplefilter("ignore", UserWarning)
-            # The line in hand, then the file from where it stopped: loadtxt
-            # iterates a file's lines, so the next call starts at the next
-            # row.  comments=None: "#" is a non-numeric value, not a comment.
-            data = np.loadtxt(
-                itertools.chain([line], text_file), delimiter=",", comments=None,
-                ndmin=2, dtype=float, max_rows=rows,
-            )
-    except ValueError:
-        return None
-    ncols = data.shape[1]
-    expected = header if width is None else width
-    if expected is not None and ncols != expected:
-        return None
-    if not np.isfinite(data).all():
-        return None
-    if num_vars is None or ncols == num_vars:
-        return data, np.ones(data.shape[0]), ncols
-    if ncols != num_vars + 1 or not (data[:, -1] > 0.0).all():
-        return None
-    return data[:, :-1], data[:, -1], ncols
-
-
-def _csv_blocks(text_file, num_vars, rows):
-    """``_load_csv_block``'s blocks until the end of the file; after a
-    decline, the line parser's, from where the block parse stopped."""
-    width = None
-    delivered = 0
-    while (block := _load_csv_block(text_file, num_vars, rows, width)) is not None:
-        atoms, weights, width = block
-        if not weights.shape[0]:
-            return
+        if num_vars is None or width == num_vars:
+            atoms, weights = data, np.ones(data.shape[0])
+        elif width == num_vars + 1 and (data[:, -1] > 0.0).all():
+            atoms, weights = data[:, :-1], data[:, -1]
+        else:
+            break
         delivered += weights.shape[0]
         yield atoms, weights
+    else:
+        return  # the end of the file, with every row parsed in blocks
     # tell() is unavailable once a text file has been iterated, so the line
     # parser starts over; it is the only source of errors and line numbers.
     text_file.seek(0)
-    yield from _parse_csv(text_file, num_vars, rows, skip=delivered)
+    yield from _line_blocks(_csv_rows(text_file, num_vars), rows, delivered)
 
 
 def _jsonl_rows(text_file, num_vars):
@@ -423,6 +396,8 @@ def _jsonl_rows(text_file, num_vars):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MeasureFormatError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+        except RecursionError:
+            raise MeasureFormatError(f"line {lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(obj, dict) or "x" not in obj:
             raise MeasureFormatError(f'line {lineno}: expected an object with an "x" array')
         x = obj["x"]

@@ -209,8 +209,6 @@ class ReductionReport:
 
 def _rank(singular_values: np.ndarray, nrows: int, tol_factor: float) -> int:
     """Count singular values above nrows * eps * sigma_max * tol_factor."""
-    if not singular_values.size:
-        return 0
     tol = nrows * _EPS * float(singular_values[0]) * tol_factor
     return int(np.count_nonzero(singular_values > tol))
 

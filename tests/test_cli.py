@@ -17,6 +17,12 @@ def _write(path, text):
     return str(path)
 
 
+_BAD_BASES = ['[]', '"x"', '{"num_vars": 1, "max_degree": 1, "degree_weights": 5}',
+              '{"num_vars": [1], "max_degree": 1}', '{"num_vars": 1e400, "max_degree": 1}']
+_BAD_BASIS_IDS = ["list", "string", "weights-number", "num-vars-list", "num-vars-1e400"]
+_DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion
+
+
 @pytest.fixture
 def five_atom_csv(tmp_path):
     return _write(tmp_path / "grid.csv", "0\n1\n2\n3\n4\n")
@@ -262,6 +268,24 @@ class TestFeasibleCommand:
         assert capsys.readouterr().err.strip().endswith(f"{path}: {message}")
         assert not (tmp_path / "out" / "feasibility.json").exists()
 
+    @pytest.mark.parametrize("basis", _BAD_BASES, ids=_BAD_BASIS_IDS)
+    def test_malformed_basis_exits_two(self, tmp_path, capsys, basis):
+        grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
+        path = _write(tmp_path / "moments.json",
+                      '{"basis": %s, "moments": {"0": 1, "1": 0.5}}' % basis)
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_deeply_nested_moment_file_exits_two(self, tmp_path, capsys):
+        grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
+        path = _write(tmp_path / "moments.json", _DEEP)
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "invalid JSON" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "moments", [[1, 2, 3], {"0": [1.0], "1": 0.0, "2": 0.5}], ids=["list", "list-value"]
     )
@@ -357,6 +381,18 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert "bad cubature file" in err and "'degree'" in err
         assert not (tmp_path / "check" / "verification_report.json").exists()
+
+    def test_num_vars_beyond_the_float_range_exits_two(self, tmp_path, capsys):
+        basis = json.loads('{"num_vars": 1e400, "max_degree": 2}')
+        assert self._verify_identity(tmp_path, basis=basis) == 2
+        assert "num_vars must be an integer" in capsys.readouterr().err
+
+    def test_deeply_nested_cubature_file_exits_two(self, tmp_path, five_atom_csv, capsys):
+        cubature = _write(tmp_path / "cubature.json", _DEEP)
+        code = main(["verify", "--input", five_atom_csv, "--num-vars", "1",
+                     "--cubature", cubature, "--out-dir", str(tmp_path / "check")])
+        assert code == 2
+        assert "is not valid JSON" in capsys.readouterr().err
 
     def test_basis_of_other_dimension_exits_two(self, tmp_path, capsys):
         measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")

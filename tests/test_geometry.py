@@ -687,6 +687,20 @@ class TestMomentFiles:
         with pytest.raises(ValueError, match=f"^{message}$"):
             load_moment_file(text.encode())
 
+    @pytest.mark.parametrize("basis", [
+        '[]', '"x"', '{"num_vars": 1, "max_degree": 1, "degree_weights": 5}',
+        '{"num_vars": [1], "max_degree": 1}', '{"num_vars": 1e400, "max_degree": 1}',
+    ], ids=["list", "string", "weights-number", "num-vars-list", "num-vars-1e400"])
+    def test_malformed_basis_is_refused(self, basis):
+        text = '{"basis": %s, "moments": {"0": 1, "1": 0.5}}' % basis
+        with pytest.raises(ValueError):
+            load_moment_file(text.encode())
+
+    def test_deeply_nested_file_is_refused(self):
+        deep = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion
+        with pytest.raises(ValueError, match="^invalid JSON"):
+            load_moment_file(('{"basis": %s, "moments": {}}' % deep).encode())
+
     def test_file_requires_blocks(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"moments": {}}')

@@ -71,8 +71,9 @@ class TestLoadMeasureCsv:
             load_measure(_csv("1,,2\n3,4,5\n6,7,8\n"), "csv", num_vars=2)
 
     def test_empty_file_rejected(self):
-        with pytest.raises(MeasureFormatError, match="no atoms"):
-            load_measure(_csv(""), "csv")
+        for text in ["", "\n\n", "x,w\n"]:  # empty, blank lines only, a header only
+            with pytest.raises(MeasureFormatError, match="no atoms"):
+                load_measure(_csv(text), "csv")
 
     def test_wrong_column_count_for_declared_vars(self):
         with pytest.raises(MeasureFormatError, match="coordinate columns"):
@@ -145,8 +146,9 @@ class TestCsvBlockFallback:
     """Inputs the block parse refuses are read again by the line parser."""
 
     def test_block_parse_takes_well_formed_files(self):
-        for text in ["1.0,2.0,0.5\n", "x,y,w\n\n1.0,2.0,0.5\r\n3,4,1\r\n", " 1 , 2 \n3,4\n\n"]:
-            assert measure._load_csv_block(io.StringIO(text), 2) is not None, text
+        with mock.patch.object(measure, "_csv_rows", side_effect=AssertionError):
+            for text in ["1.0,2.0,0.5\n", "x,y,w\n\n1.0,2.0,0.5\r\n3,4,1\r\n", " 1 , 2 \n3,4\n\n"]:
+                assert load_measure(_csv(text), "csv", num_vars=2).num_atoms >= 1, text
 
     def test_last_row_nan_names_its_line(self):
         text = _rows(70_001, bad=(70_001, "1.0,2.0,nan,1.0\n"))
@@ -237,7 +239,7 @@ def _streamed_outcome(source, num_vars, rows):
 def test_block_parse_matches_the_line_parser(case, bom):
     text, num_vars = case
     data = ("\ufeff" if bom else "").encode("utf-8") + text.encode("utf-8")
-    with mock.patch.object(measure, "_load_csv_block", return_value=None):
+    with mock.patch.object(measure.np, "loadtxt", side_effect=ValueError):  # line parser only
         want = _outcome(data, num_vars)
     assert _outcome(data, num_vars) == want
     # In blocks of two rows, a header, blank lines and faults fall at and
@@ -296,6 +298,11 @@ class TestLoadMeasureJsonl:
     def test_invalid_json_rejected(self):
         with pytest.raises(MeasureFormatError, match="line 1.*JSON"):
             load_measure(_csv("not json\n"), "jsonl")
+
+    def test_deeply_nested_line_rejected(self):
+        deep = "[" * 100_000 + "]" * 100_000  # deeper than the JSON parser's recursion
+        with pytest.raises(MeasureFormatError, match="^line 2: invalid JSON"):
+            load_measure(_csv('{"x": [1.0]}\n{"x": %s}\n' % deep), "jsonl")
 
     def test_unknown_format_rejected(self):
         with pytest.raises(MeasureFormatError, match="unknown format"):

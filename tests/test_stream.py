@@ -86,7 +86,7 @@ class TestCommandsMatchTheLibrary:
 
         # Blank lines, a header, CRLF and a byte-order mark stay on the
         # block parse; the line parser would take seconds here.
-        with mock.patch.object(measure, "_parse_csv", side_effect=AssertionError):
+        with mock.patch.object(measure, "_csv_rows", side_effect=AssertionError):
             assert _run(["reduce", *common, "--degree", "3",
                          "--out-dir", str(tmp_path / "r")]) == 0
             assert _run(["verify", *common, "--cubature", str(tmp_path / "r/cubature.json"),
