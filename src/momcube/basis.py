@@ -87,28 +87,59 @@ class MonomialBasis:
         }
 
 
-def _enumerate_indices(weights: tuple[int, ...], m: int, cap: int) -> list[MultiIndex]:
-    """All exponent tuples with weighted degree <= m, aborting past the cap."""
-    n = len(weights)
-    out: list[MultiIndex] = []
-    alpha = [0] * n
+def _enumerate_indices(
+    weights: tuple[int, ...], m: int, cap: int
+) -> list[tuple[MultiIndex, int]]:
+    """All exponent tuples with weighted degree <= m in graded-lex order,
+    each with its first nonzero coordinate (0 for the constant).
 
-    def rec(i: int, budget: int):
-        if i == n:
-            if len(out) >= cap:
-                raise BasisError(
-                    f"basis dimension exceeds the cap of {cap} entries"
-                )
-            out.append(tuple(alpha))
-            return
-        k = weights[i]
-        for a in range(budget // k + 1):
-            alpha[i] = a
-            rec(i + 1, budget - a * k)
-        alpha[i] = 0
-
-    rec(0, m)
-    return out
+    BasisError past ``cap`` entries, before any tuple is built: the count
+    of each exact degree d is the x^d coefficient of the product of
+    1 / (1 - x^k) over the weights k, kept below cap + 1.  The tuples are
+    then visited in lexicographic order without recursion, as an odometer:
+    the next tuple adds one unit to the last coordinate that can take it
+    once every later coordinate is 0.  Each goes to its degree's list, and
+    the lists in degree order are the graded-lex order, with no sort.
+    """
+    counts = [1] + [0] * m
+    for k in weights:
+        for d in range(k, m + 1):
+            counts[d] = min(counts[d] + counts[d - k], cap + 1)
+    if sum(counts) > cap:
+        raise BasisError(f"basis dimension exceeds the cap of {cap} entries")
+    # The last coordinate of weight at most b, for each budget b; -1 if none.
+    last_at_most = [-1] * (m + 1)
+    for j, k in enumerate(weights):
+        if k <= m:
+            last_at_most[k] = j
+    for b in range(1, m + 1):
+        last_at_most[b] = max(last_at_most[b], last_at_most[b - 1])
+    by_degree: list[list[tuple[MultiIndex, int]]] = [[] for _ in range(m + 1)]
+    alpha = [0] * len(weights)
+    nonzero: list[int] = []  # coordinates with a nonzero exponent, ascending
+    degree = 0
+    while True:
+        by_degree[degree].append((tuple(alpha), nonzero[0] if nonzero else 0))
+        # Coordinates after the last nonzero one are 0, so a unit fits at j
+        # (not before that one) when weights[j] <= m - degree.
+        last = nonzero[-1] if nonzero else 0
+        j = last_at_most[m - degree]
+        while j < last:
+            if not nonzero:
+                return [entry for bucket in by_degree for entry in bucket]
+            # Nothing fits from ``last`` on: zero it, and find the last
+            # coordinate before it that takes a unit.
+            p = nonzero.pop()
+            degree -= weights[p] * alpha[p]
+            alpha[p] = 0
+            last = nonzero[-1] if nonzero else 0
+            j = p - 1
+            while j >= last and weights[j] > m - degree:
+                j -= 1
+        if not alpha[j]:
+            nonzero.append(j)
+        alpha[j] += 1
+        degree += weights[j]
 
 
 def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
@@ -123,27 +154,31 @@ def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
         MonomialBasis with deterministic graded-lex ordering, constant first.
 
     Raises BasisError on an argument of the wrong type or value, and past
-    DEFAULT_DIMENSION_CAP entries.
+    DEFAULT_DIMENSION_CAP entries.  With unit weights (None) and m >= 1 the
+    basis has at least N + 1 entries, so a larger N is refused before its
+    weights are built.
     """
     n = _check_positive_int(num_vars, "num_vars")
-    try:
-        weights = (1,) * n if weights is None else tuple(weights)
-    except TypeError:
-        raise BasisError(f"degree weights must be a list, got {weights!r}") from None
-    degree_fn = DegreeFunction(n, weights)
     if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
         raise BasisError(f"max_degree must be an integer, got {max_degree!r}")
     if max_degree < 0:
         raise BasisError(f"max_degree must be >= 0, got {max_degree}")
     m = int(max_degree)
+    if weights is None and m >= 1 and n + 1 > DEFAULT_DIMENSION_CAP:
+        raise BasisError(
+            f"basis dimension exceeds the cap of {DEFAULT_DIMENSION_CAP} entries"
+        )
+    try:
+        weights = (1,) * n if weights is None else tuple(weights)
+    except TypeError:
+        raise BasisError(f"degree weights must be a list, got {weights!r}") from None
+    degree_fn = DegreeFunction(n, weights)
 
-    indices = _enumerate_indices(degree_fn.weights, m, DEFAULT_DIMENSION_CAP)
-    indices.sort(key=lambda a: (degree_fn.weighted_degree(a), a))
-
+    entries = _enumerate_indices(degree_fn.weights, m, DEFAULT_DIMENSION_CAP)
+    indices = [a for a, _ in entries]
     position = {a: j for j, a in enumerate(indices)}
     recurrence: list[tuple[int, int]] = []
-    for a in indices[1:]:
-        i = next(d for d, e in enumerate(a) if e > 0)
+    for a, i in entries[1:]:
         parent = a[:i] + (a[i] - 1,) + a[i + 1:]
         recurrence.append((position[parent], i))
 

@@ -7,11 +7,12 @@ zeroes at least one weight, and a Gaussian column update keeps the
 remaining null vectors null on the survivors.  As in a blocked LU, each
 update reaches only the rest of its block of 16 null vectors, and the
 vectors after the block take the whole block's updates in one matrix
-product.  It refactorizes only after a tie or when the basis is used up,
-and stops when the surviving columns have full rank.  The weighted
-feature sums are invariant under every step, so the survivors form a
-cubature formula: at most D nodes drawn from the original atoms, strictly
-positive weights, and the same moments as the input measure.
+product.  It refactorizes only after a tie or when the basis is used up.
+On a tree level it stops at D surviving columns; the base case goes on
+until the surviving columns have full rank.  The weighted feature sums
+are invariant under every step, so the survivors form a cubature formula:
+at most D nodes drawn from the original atoms, strictly positive weights,
+and the same moments as the input measure.
 
 The engine has four layers:
 
@@ -43,12 +44,14 @@ The engine has four layers:
 
 Every factorization is a ``numpy.linalg.qr`` (LAPACK ``geqrf``) or a
 ``numpy.linalg.svd`` (LAPACK ``gesdd``).  Above D columns the kernel's null
-basis comes from a complete QR, which needs no rank decision.  Every rank
-decision counts singular values above a tolerance: the kernel's null basis
-on at most D columns and its closing full-rank check, and the detected rank
-of the input's feature columns, which takes singular vectors only when the
-first 2D columns have rank below D.  Grouping and blocks are fixed and no
-step is random, so reruns are identical.
+basis comes from the Householder reflectors of a QR, in compact WY form,
+which needs no rank decision; a tree level takes one such factorization
+when no tie occurs.  Every rank decision counts singular values above a
+tolerance: the kernel's null basis on at most D columns and the base
+case's closing full-rank check, and the detected rank of the input's
+feature columns, which takes singular vectors only when the first 2D
+columns have rank below D.  Grouping and blocks are fixed and no step is
+random, so reruns are identical.
 
 The public entry points are ``reduce`` and ``cubature_of_degree``.  The
 kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
@@ -170,7 +173,8 @@ class ReductionReport:
     removed groups, and ``rank_tol_factor`` is the factor by which the
     internal rescale loosened every rank decision (1 for dictionaries,
     which are not rescaled).  ``factorizations`` counts the kernel's QRs
-    and SVDs, closing full-rank checks included.  ``weight_ratio`` is the
+    and SVDs: a tree level takes one QR when no tie occurs, and only a base
+    case takes a closing full-rank check.  ``weight_ratio`` is the
     largest final weight over the smallest, and ``node_condition`` the
     ratio of the extreme singular values of the nodes' feature columns in
     the coordinates of ``rescaling`` (original ones for dictionaries),
@@ -216,21 +220,49 @@ def _rank(singular_values: np.ndarray, nrows: int, tol_factor: float) -> int:
 def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
     """Orthonormal null vectors of a D x n matrix, as n x k columns.
 
-    Above D columns they are the trailing n - D columns of a complete QR of
-    the transpose: orthogonal to the row space whatever the rank, so no rank
-    decision is needed, and k = n - D.  At most D columns they are the
-    trailing right singular vectors, and k is n minus the rank that
-    ``_rank`` decides from the singular values; k = 0 means the columns have
-    full rank.
+    Above D columns they are the trailing n - D columns of the orthogonal
+    factor Q of a QR of the transpose: orthogonal to the row space whatever
+    the rank, so no rank decision is needed, and k = n - D.  Q is never
+    formed.  ``qr(mode="raw")`` gives the Householder reflectors as the
+    columns of a unit lower trapezoidal n x D matrix V, with factors tau,
+    and Q = I - V T V^T, where T is upper triangular and
+    T^-1 = diag(1 / tau) + strictly-upper(V^T V) (compact WY; Joffrain, Low,
+    Quintana-Orti, van de Geijn & Van Zee 2006).  So with E = [0; I], the
+    columns wanted are Q E = E - V T V[D:]^T: one solve against T^-1, upper
+    triangular with a diagonal of at least 1/2, so partial pivoting swaps no
+    rows, and one matrix product.  A reflector with tau = 0 is the
+    identity; it becomes v = 0 with tau = 1, so nothing divides by zero.
+
+    At most D columns they are the trailing right singular vectors of a thin
+    SVD, and k is n minus the rank that ``_rank`` decides from the singular
+    values; k = 0 means the columns have full rank.
     """
     nrows, n = cols.shape
-    if n > nrows:
-        return np.linalg.qr(cols.T, mode="complete")[0][:, nrows:]
-    _, s, vt = np.linalg.svd(cols, full_matrices=True)
-    return vt[_rank(s, nrows, tol_factor):].T
+    if n <= nrows:
+        _, s, vt = np.linalg.svd(cols, full_matrices=False)
+        return vt[_rank(s, nrows, tol_factor):].T
+    # The raw factor is the transpose of LAPACK's: row i of h holds
+    # reflector i below (to the right of) its diagonal.
+    h, tau = np.linalg.qr(cols.T, mode="raw")
+    vt = np.triu(h, 1)  # V^T, D x n
+    diagonal = np.diag_indices(nrows)
+    vt[diagonal] = 1.0
+    identity = tau == 0.0
+    if _any(identity):
+        vt[identity] = 0.0
+        tau = np.where(identity, 1.0, tau)
+    t_inv = np.triu(vt @ vt.T, 1)
+    t_inv[diagonal] = 1.0 / tau
+    # Rows of (Q E)^T = E^T - (T V[D:]^T)^T V^T, C-contiguous for ``_sweep``.
+    rows = np.linalg.solve(t_inv, -vt[:, nrows:]).T @ vt
+    rows[:, nrows:][np.diag_indices(n - nrows)] += 1.0
+    return rows.T
 
 
-def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
+def _eliminate(
+    w: np.ndarray, c: np.ndarray, ratio: np.ndarray | None = None,
+    zeroed: np.ndarray | None = None,
+) -> tuple[np.ndarray, int]:
     """Shift mass along a null direction until one weight hits exactly zero.
 
     ``c`` has unit max-norm, as ``_sweep`` scales it.  Picks t* = min over
@@ -243,13 +275,19 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     A direction with no entry above the floor is negated first, so t* is
     always defined; the result is nonnegative and the weighted column sum
     is unchanged in exact arithmetic.
+
+    ``ratio`` (float) and ``zeroed`` (bool), arrays of c's length, are
+    scratch space that a caller may allocate once for many steps; on return
+    ``zeroed`` marks the entries of the result that are 0.
     """
+    if ratio is None:
+        ratio = np.empty(c.shape[0])
+        zeroed = np.empty(c.shape[0], dtype=bool)
     floor = c.shape[0] * _EPS
-    pos = c > floor
+    pos = np.greater(c, floor, out=zeroed)
     if not _any(pos):
         c = -c
-        pos = c > floor
-    ratio = np.empty(c.shape[0])
+        pos = np.greater(c, floor, out=zeroed)
     ratio.fill(np.inf)
     np.divide(w, c, out=ratio, where=pos)
     j_star = int(ratio.argmin())
@@ -259,10 +297,11 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     # float steps; in exact arithmetic they would be zero, so zero them.  The
     # threshold is nonnegative, so this also zeroes every negative entry.
     thresh = np.abs(shift, out=shift)
-    thresh += np.abs(w)
+    thresh += np.abs(w, out=ratio)
     thresh *= 32.0 * _EPS
-    out[out <= thresh] = 0.0
-    out[j_star] = 0.0
+    np.less_equal(out, thresh, out=zeroed)
+    zeroed[j_star] = True
+    out[zeroed] = 0.0
     return out, j_star
 
 
@@ -307,10 +346,11 @@ class _SpanTracker:
 # minimum ratio; nothing else in a round overflows on finite input.
 @np.errstate(over="ignore")
 def _sweep(
-    cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float
+    cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float,
+    *, certify: bool = True,
 ):
-    """Deterministic reduction of a D x n column matrix until its columns are
-    linearly independent.
+    """Deterministic reduction of a D x n column matrix to at most D
+    columns, and with ``certify`` until they are linearly independent.
 
     Returns (surviving column positions, surviving weights, elimination
     steps, factorizations).  ``tol_factor`` loosens rank decisions by the
@@ -332,9 +372,14 @@ def _sweep(
     atoms are dropped when the round ends.  A round ends when the basis is
     used up, or when one step zeroes more than one weight (a tie), which
     the single-column update cannot follow; the next round refactorizes,
-    and updates still pending are never applied.  With at most D live
-    columns a round starts with the singular values alone, which settle
-    full rank (the closing check) without the null basis.
+    and updates still pending are never applied.
+
+    Without ``certify`` (a tree level, which only has to keep at most D of
+    its 2D groups) the sweep stops as soon as at most D columns are live.
+    With it (the base case) a round with at most D live columns starts with
+    the singular values alone, which settle full rank (the closing check)
+    without the null basis; only this check proves the survivors
+    independent.
 
     With ``project_constant`` (monomial bases, whose entry 0 is the
     constant), each direction is scaled to unit max-norm and then projected
@@ -353,6 +398,8 @@ def _sweep(
     while idx.shape[0] >= 2:
         live = cols[:, idx]
         if idx.shape[0] <= nrows:
+            if not certify:
+                break
             factorizations += 1
             svals = np.linalg.svd(live, compute_uv=False)
             if _rank(svals, nrows, tol_factor) == idx.shape[0]:
@@ -363,33 +410,38 @@ def _sweep(
         # ends.
         null = np.ascontiguousarray(_null_basis(live, tol_factor).T)
         if not null.shape[0]:
-            # The full SVD's singular values put the rank at n after all
+            # The thin SVD's singular values put the rank at n after all
             # (they may differ from svdvals' in the last bits).
             break
-        alive = np.ones(idx.shape[0], dtype=bool)
-        count = idx.shape[0]
-        buf = np.empty((_BLOCK - 1, count))
+        # Scratch for every step of the round.
+        size = count = idx.shape[0]
+        alive = np.ones(size, dtype=bool)
+        zeroed = np.empty(size, dtype=bool)
+        ratio = np.empty(size)
+        magnitude = np.empty(size)
+        projected = np.empty(size)
+        buf = np.empty((_BLOCK - 1, size))
         pivots = np.empty(_BLOCK, dtype=np.intp)
         tie = False
         for start in range(0, null.shape[0], _BLOCK):
             block = null[start:start + _BLOCK]
             for b, c in enumerate(block):
-                c /= _max(np.abs(c))
+                c /= _max(np.abs(c, out=magnitude))
                 if project_constant:
-                    projected = c - (_sum(c) / count) * alive
-                    peak = _max(np.abs(projected))
+                    np.multiply(alive, _sum(c) / count, out=projected)
+                    np.subtract(c, projected, out=projected)
+                    peak = _max(np.abs(projected, out=magnitude))
                     if peak > 1e-8:
                         np.divide(projected, peak, out=c)
-                new_w, j_star = _eliminate(w, c)
-                keep = new_w > 0.0
-                left = int(np.count_nonzero(keep))
+                new_w, j_star = _eliminate(w, c, ratio, zeroed)
+                left = size - int(np.count_nonzero(zeroed))
                 if not left:
                     # Exactly cancelling features (zero moment vector): no atom
                     # can be removed without losing representability, stop here.
                     return idx[alive], w[alive], steps, factorizations
                 steps += 1
                 w = new_w
-                alive = keep
+                np.logical_not(zeroed, out=alive)
                 if left < count - 1:
                     tie = True  # refactorize
                     break
@@ -490,7 +542,9 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
             offsets[0] = 0
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
             del cols  # freed before the next block is built
-        kept, new_mass, s, f = _sweep(means, mass, project_constant, tol_factor)
+        kept, new_mass, s, f = _sweep(
+            means, mass, project_constant, tol_factor, certify=False
+        )
         totals.steps += s
         totals.factorizations += f
         # When the means cancel, every group is kept at its own mass.

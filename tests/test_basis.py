@@ -1,6 +1,8 @@
 """Tests for the weighted-degree monomial basis and the point embedding."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +60,36 @@ class TestBuildBasis:
             m = int(rng.integers(0, 7))
             basis = build_basis(n, weights, m)
             assert set(basis.indices) == enumerate_multi_indices(tuple(weights), m)
+
+    @pytest.mark.parametrize("weights", [(1,), (3,), (1, 1), (2, 1), (1, 3, 2), (2, 2, 2),
+                                         (1, 1, 1, 1), (4, 1, 3, 2)])
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 8])
+    def test_order_matches_a_sorted_product(self, weights, m):
+        def degree(alpha):
+            return sum(k * a for k, a in zip(weights, alpha))
+
+        grid = itertools.product(*(range(m // k + 1) for k in weights))
+        reference = sorted((a for a in grid if degree(a) <= m), key=lambda a: (degree(a), a))
+        assert build_basis(len(weights), list(weights), m).indices == tuple(reference)
+
+    def test_five_thousand_coordinates(self):
+        # One loop, no recursion per coordinate: the constant, then x_i in
+        # lexicographic order, which puts the last coordinate first.
+        basis = build_basis(5000, None, 1)
+        assert basis.dimension == 5001
+        assert basis.indices[0] == (0,) * 5000
+        assert basis.indices[1] == (0,) * 4999 + (1,)
+        assert basis.indices[-1] == (1,) + (0,) * 4999
+        assert basis._recurrence[0] == (0, 4999)
+        assert basis._recurrence[-1] == (0, 0)
+
+    def test_unit_weights_past_the_cap_are_refused_before_they_are_built(self):
+        start = time.perf_counter()
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(10**12, None, 1)
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(5000, None, 2)  # 12,507,501 entries
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "n,m", [(1, 5), (2, 2), (2, 3), (3, 4), (4, 6)]

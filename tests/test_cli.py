@@ -278,6 +278,18 @@ class TestFeasibleCommand:
         assert code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_five_thousand_coordinate_basis_exits_two(self, tmp_path, capsys):
+        # The basis builds (5,001 entries, no recursion per coordinate); the
+        # one-column grid does not fit it, an input error.
+        grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
+        path = _write(tmp_path / "moments.json",
+                      '{"basis": {"num_vars": 5000, "max_degree": 1}, "moments": {"0": 1}}')
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "expected 5000 coordinate columns" in err
+
     def test_deeply_nested_moment_file_exits_two(self, tmp_path, capsys):
         grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
         path = _write(tmp_path / "moments.json", _DEEP)

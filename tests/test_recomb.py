@@ -88,6 +88,34 @@ class TestFindNullVector:
             assert np.linalg.norm(cols @ null, axis=0).max() <= bound
 
 
+    @pytest.mark.parametrize("zero_row", [0, 2])
+    def test_identity_reflector_divides_by_nothing(self, zero_row):
+        # A feature that vanishes on every atom is a zero column of the
+        # transpose, so its Householder reflector is the identity (tau = 0),
+        # and a repeated feature makes the columns dependent.  The compact WY
+        # form must neither divide by that tau nor lose orthonormality.
+        rng = np.random.default_rng(181)
+        cols = rng.standard_normal((6, 14))
+        cols[zero_row] = 0.0
+        cols[4] = cols[3]
+        assert (np.linalg.qr(cols.T, mode="raw")[1] == 0.0).any()
+        with np.errstate(all="raise"):
+            null = _null_basis(cols, 1.0)
+        assert null.shape == (14, 8)
+        np.testing.assert_allclose(null.T @ null, np.eye(8), atol=1e-13)
+        bound = 100 * 6 * np.finfo(float).eps * np.linalg.norm(cols, axis=0).max()
+        assert np.linalg.norm(cols @ null, axis=0).max() <= bound
+
+    def test_matches_the_complete_qr(self):
+        # The WY form gives the trailing columns of the same Q as a complete
+        # QR, up to rounding.
+        rng = np.random.default_rng(191)
+        for d, m in [(1, 2), (5, 9), (20, 40), (56, 112)]:
+            cols = rng.standard_normal((d, m))
+            expected = np.linalg.qr(cols.T, mode="complete")[0][:, d:]
+            np.testing.assert_allclose(_null_basis(cols, 1.0), expected, atol=1e-13)
+
+
 class TestEliminationStep:
     """One pivot of the kernel, ``_eliminate``."""
 
@@ -305,12 +333,11 @@ class TestSweepFactorizations:
         )
         cubature, report = cubature_of_degree(measure, 4, [1, 1, 1, 1], 5)
         assert cubature.num_nodes <= 126
-        # One kernel call per tree level plus the base case; each takes one
-        # SVD and one closing check.  Uniform atoms give no ties, so no
-        # round ends early.
-        kernel_calls = report.tree_levels + 1
+        # One kernel call per tree level plus the base case.  A level takes
+        # one QR and stops at D groups; the base case takes one QR and the
+        # closing check.  Uniform atoms give no ties, so no round ends early.
         assert report.tree_levels > 0
-        assert report.factorizations <= 2 * kernel_calls
+        assert report.factorizations == report.tree_levels + 2
         assert 20 * report.factorizations < report.elimination_steps
 
     def test_tie_refactorizes(self):
@@ -355,6 +382,46 @@ class TestSweepFactorizations:
         again, _ = reduce(measure, basis)
         np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
         np.testing.assert_array_equal(again.weights, cubature.weights)
+
+    def test_rank_deficient_group_means_keep_the_contract(self):
+        # 400 atoms on the unit circle at degree 4 (D = 15, rank 9): every
+        # level's 30 group means have rank 9, and the level keeps 15 groups,
+        # which are not independent, with no closing check.  Later levels
+        # and the base case reduce them further, and the base case proves
+        # the nodes independent.
+        t = 0.1 + 2.0 * np.pi * np.random.default_rng(193).random(400)
+        measure = DiscreteMeasure(
+            np.column_stack([np.cos(t), np.sin(t)]),
+            np.random.default_rng(197).uniform(0.5, 2.0, 400),
+        )
+        basis = build_basis(2, [1, 1], 4)
+        cubature, report = reduce(measure, basis)
+        assert report.tree_levels >= 2
+        assert report.detected_rank == 9
+        assert 1 <= cubature.num_nodes <= 9
+        assert np.unique(cubature.node_indices).shape[0] == cubature.num_nodes
+        assert (cubature.weights > 0).all()
+        np.testing.assert_array_equal(cubature.nodes, measure.atoms[cubature.node_indices])
+        verification = verify_cubature(measure, cubature, basis)
+        assert verification.max_residual_rel <= 1e-8
+        assert verification.mass_gap_rel <= 1e-12
+        again, _ = reduce(measure, basis)
+        np.testing.assert_array_equal(again.node_indices, cubature.node_indices)
+        assert again.weights.tobytes() == cubature.weights.tobytes()
+
+    def test_a_level_stops_at_d_columns_without_a_closing_check(self):
+        # A level's sweep keeps at most D of its 2D group means after one QR
+        # and no SVD; the base case's sweep ends with the closing check.
+        basis = build_basis(2, [1, 1], 4)
+        t = 2.0 * np.pi * np.arange(60) / 60
+        cols = embed_block(basis, np.column_stack([np.cos(t), np.sin(t)]))[:, :30]
+        weights = np.random.default_rng(199).uniform(0.5, 2.0, 30)
+        sub, _, steps, factorizations = _sweep(cols, weights, True, 1.0, certify=False)
+        assert (sub.shape[0], steps, factorizations) == (15, 15, 1)
+        sub, new_w, _, factorizations = _sweep(cols, weights, True, 1.0)
+        assert sub.shape[0] <= 9 and factorizations >= 3
+        assert np.linalg.matrix_rank(cols[:, sub]) == sub.shape[0]
+        np.testing.assert_allclose(cols[:, sub] @ new_w, cols @ weights, atol=1e-12)
 
     @pytest.mark.parametrize(
         "atoms, min_tol_factor",
@@ -449,8 +516,8 @@ class TestBlockedUpdate:
             rounds.append([live.shape[1], 0, 0])
             return null_basis(live, tol_factor)
 
-        def logged_eliminate(w, c):
-            out, j_star = eliminate(w, c)
+        def logged_eliminate(w, c, *scratch):
+            out, j_star = eliminate(w, c, *scratch)
             rounds[-1][1] += 1
             rounds[-1][2] += int(np.count_nonzero(w > 0.0) - np.count_nonzero(out > 0.0))
             return out, j_star
