@@ -87,46 +87,60 @@ class MonomialBasis:
         }
 
 
+def _count_indices(weights: tuple[int, ...], m: int, cap: int) -> int:
+    """Number of exponent tuples with weighted degree <= m, or a number
+    above ``cap`` as soon as there are more than that.
+
+    ``counts`` holds the tuples over the coordinates seen so far by exact
+    degree; a coordinate of weight k adds a * k to each of them, a >= 1.
+    Every inner step adds at least one tuple, so the work stays below
+    cap + N steps whatever m and the weights are.
+    """
+    counts = {0: 1}
+    total = 1
+    for k in weights:
+        for d, c in list(counts.items()):
+            for e in range(d + k, m + 1, k):
+                counts[e] = counts.get(e, 0) + c
+                total += c
+                if total > cap:
+                    return total
+    return total
+
+
 def _enumerate_indices(
     weights: tuple[int, ...], m: int, cap: int
 ) -> list[tuple[MultiIndex, int]]:
     """All exponent tuples with weighted degree <= m in graded-lex order,
     each with its first nonzero coordinate (0 for the constant).
 
-    BasisError past ``cap`` entries, before any tuple is built: the count
-    of each exact degree d is the x^d coefficient of the product of
-    1 / (1 - x^k) over the weights k, kept below cap + 1.  The tuples are
-    then visited in lexicographic order without recursion, as an odometer:
+    BasisError past ``cap`` entries, before any tuple is built.  The tuples
+    are visited in lexicographic order without recursion, as an odometer:
     the next tuple adds one unit to the last coordinate that can take it
     once every later coordinate is 0.  Each goes to its degree's list, and
     the lists in degree order are the graded-lex order, with no sort.
     """
-    counts = [1] + [0] * m
-    for k in weights:
-        for d in range(k, m + 1):
-            counts[d] = min(counts[d] + counts[d - k], cap + 1)
-    if sum(counts) > cap:
+    if _count_indices(weights, m, cap) > cap:
         raise BasisError(f"basis dimension exceeds the cap of {cap} entries")
-    # The last coordinate of weight at most b, for each budget b; -1 if none.
-    last_at_most = [-1] * (m + 1)
-    for j, k in enumerate(weights):
-        if k <= m:
-            last_at_most[k] = j
-    for b in range(1, m + 1):
-        last_at_most[b] = max(last_at_most[b], last_at_most[b - 1])
-    by_degree: list[list[tuple[MultiIndex, int]]] = [[] for _ in range(m + 1)]
-    alpha = [0] * len(weights)
+    n = len(weights)
+    suffix_min = list(weights)  # the least weight from each coordinate on
+    for j in range(n - 2, -1, -1):
+        suffix_min[j] = min(suffix_min[j], suffix_min[j + 1])
+    by_degree: dict[int, list[tuple[MultiIndex, int]]] = {}
+    alpha = [0] * n
     nonzero: list[int] = []  # coordinates with a nonzero exponent, ascending
     degree = 0
     while True:
-        by_degree[degree].append((tuple(alpha), nonzero[0] if nonzero else 0))
+        by_degree.setdefault(degree, []).append((tuple(alpha), nonzero[0] if nonzero else 0))
         # Coordinates after the last nonzero one are 0, so a unit fits at j
         # (not before that one) when weights[j] <= m - degree.
         last = nonzero[-1] if nonzero else 0
-        j = last_at_most[m - degree]
+        j = n - 1 if suffix_min[last] <= m - degree else -1
+        while j >= last and weights[j] > m - degree:
+            j -= 1
         while j < last:
             if not nonzero:
-                return [entry for bucket in by_degree for entry in bucket]
+                return [entry for d in sorted(by_degree) for entry in by_degree[d]]
             # Nothing fits from ``last`` on: zero it, and find the last
             # coordinate before it that takes a unit.
             p = nonzero.pop()

@@ -91,6 +91,14 @@ class TestBuildBasis:
             build_basis(5000, None, 2)  # 12,507,501 entries
         assert time.perf_counter() - start < 1.0
 
+    def test_degree_bound_far_beyond_the_entry_count(self):
+        # The count and the enumeration take no step per degree unit.
+        basis = build_basis(2, [10**9, 3 * 10**9], 5 * 10**9)
+        assert basis.indices == ((0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1), (4, 0),
+                                 (2, 1), (5, 0))
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(1, [1], 10**15)
+
     @pytest.mark.parametrize(
         "n,m", [(1, 5), (2, 2), (2, 3), (3, 4), (4, 6)]
     )
