@@ -502,13 +502,16 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
     subnormals included.  It builds the feature columns (rescaled, for a
     monomial basis) 4,096 atoms at a time, weights them by the shares in
     place and adds their per-group sums into the D x 2D group means.
-    ``_sweep`` reduces the means; each atom then gets its share of its
-    group's new mass, and atoms left at 0 (a removed group, or an underflow)
-    are dropped.  The first level also feeds a ``_SpanTracker``, in slices
-    of 2D columns, so no pass is spent on the rank alone.  At most 2D atoms
-    go to ``_sweep`` as the base case.  A level whose group means cancel, so
-    that no group can be removed, gives every atom its weight back and ends
-    the tree with its more than 2D atoms unreduced.
+    ``_sweep`` reduces the means to at most D groups, with no closing check
+    (they may be dependent; later levels and the base case reduce them
+    further); each atom then gets its share of its group's new mass, and
+    atoms left at 0 (a removed group, or an underflow) are dropped.  The
+    first level also feeds a ``_SpanTracker``, in slices of 2D columns, so
+    no pass is spent on the rank alone.  At most 2D atoms go to ``_sweep``
+    as the base case, which ends with the closing full-rank check.  A level
+    whose group means cancel, so that no group can be removed, gives every
+    atom its weight back and ends the tree with its more than 2D atoms
+    unreduced.
     """
     rescale = None
     tol_factor = 1.0
