@@ -108,21 +108,33 @@ def _count_indices(weights: tuple[int, ...], m: int, cap: int) -> int:
     return total
 
 
+def _check_size(entries: int, num_vars: int, cap: int):
+    """BasisError when ``entries`` exponent tuples, each of ``num_vars``
+    integers, pass ``cap`` entries or ``32 * cap`` integers in all."""
+    if entries > cap:
+        raise BasisError(f"basis dimension exceeds the cap of {cap} entries")
+    if entries * num_vars > 32 * cap:
+        raise BasisError(
+            f"basis of {num_vars} coordinates exceeds the cap of {32 * cap} "
+            "exponent cells (entries times coordinates)"
+        )
+
+
 def _enumerate_indices(
     weights: tuple[int, ...], m: int, cap: int
 ) -> list[tuple[MultiIndex, int]]:
     """All exponent tuples with weighted degree <= m in graded-lex order,
     each with its first nonzero coordinate (0 for the constant).
 
-    BasisError past ``cap`` entries, before any tuple is built.  The tuples
-    are visited in lexicographic order without recursion, as an odometer:
-    the next tuple adds one unit to the last coordinate that can take it
-    once every later coordinate is 0.  Each goes to its degree's list, and
-    the lists in degree order are the graded-lex order, with no sort.
+    BasisError past ``cap`` entries or ``32 * cap`` exponent cells (entries
+    times N), before any tuple is built.  The tuples are visited in
+    lexicographic order without recursion, as an odometer: the next tuple
+    adds one unit to the last coordinate that can take it once every later
+    coordinate is 0.  Each goes to its degree's list, and the lists in
+    degree order are the graded-lex order, with no sort.
     """
-    if _count_indices(weights, m, cap) > cap:
-        raise BasisError(f"basis dimension exceeds the cap of {cap} entries")
     n = len(weights)
+    _check_size(_count_indices(weights, m, min(cap, 32 * cap // n)), n, cap)
     suffix_min = list(weights)  # the least weight from each coordinate on
     for j in range(n - 2, -1, -1):
         suffix_min[j] = min(suffix_min[j], suffix_min[j + 1])
@@ -167,10 +179,11 @@ def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
     Returns:
         MonomialBasis with deterministic graded-lex ordering, constant first.
 
-    Raises BasisError on an argument of the wrong type or value, and past
-    DEFAULT_DIMENSION_CAP entries.  With unit weights (None) and m >= 1 the
-    basis has at least N + 1 entries, so a larger N is refused before its
-    weights are built.
+    Raises BasisError on an argument of the wrong type or value, past
+    DEFAULT_DIMENSION_CAP entries, and past 32 times that many exponent
+    cells (entries times N), each entry holding N integers.  With unit
+    weights (None) the basis has at least 1 entry, and N + 1 at m >= 1, so
+    an N too large for that is refused before its weights are built.
     """
     n = _check_positive_int(num_vars, "num_vars")
     if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
@@ -178,10 +191,8 @@ def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
     if max_degree < 0:
         raise BasisError(f"max_degree must be >= 0, got {max_degree}")
     m = int(max_degree)
-    if weights is None and m >= 1 and n + 1 > DEFAULT_DIMENSION_CAP:
-        raise BasisError(
-            f"basis dimension exceeds the cap of {DEFAULT_DIMENSION_CAP} entries"
-        )
+    if weights is None:
+        _check_size(n + 1 if m else 1, n, DEFAULT_DIMENSION_CAP)
     try:
         weights = (1,) * n if weights is None else tuple(weights)
     except TypeError:

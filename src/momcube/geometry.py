@@ -443,22 +443,30 @@ def truncated_moment_feasible(
 
     ``moment_values`` maps every exponent tuple of the weighted-degree
     basis to its prescribed moment (the constant entry is the total mass,
-    which must be positive).  Membership is decided for the normalized
-    moments in the convex hull of the embedded grid; on success the witness
-    is returned as a measure on at most D grid points that reproduces the
-    unnormalized moments.
+    which must be positive).  A key must be a tuple of ints or numpy
+    integers; any other (a float, a string, a bool) is a ValueError, not
+    truncated.  Membership is decided for the normalized moments in the
+    convex hull of the embedded grid; on success the witness is returned as
+    a measure on at most D grid points that reproduces the unnormalized
+    moments.
     """
     basis = build_basis(num_vars, degree_weights, max_degree)
     expected = set(basis.indices)
-    provided = {tuple(int(e) for e in key) for key in moment_values}
-    missing = expected - provided
-    extra = provided - expected
+    values = {}
+    for key, value in moment_values.items():
+        if not isinstance(key, tuple) or any(
+            isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in key
+        ):
+            raise ValueError(f"moment key {key!r} is not a tuple of integer exponents")
+        values[tuple(int(e) for e in key)] = value
+    missing = expected - values.keys()
+    extra = values.keys() - expected
     if missing:
         raise ValueError(f"missing moment keys: {sorted(missing)[:5]}")
     if extra:
         raise ValueError(f"unexpected moment keys: {sorted(extra)[:5]}")
 
-    values = {tuple(int(e) for e in k): _json_float(v) for k, v in moment_values.items()}
+    values = {key: _json_float(value) for key, value in values.items()}
     mass = values[(0,) * num_vars]
     if not np.isfinite(mass) or mass <= 0.0:
         raise ValueError(f"total mass (constant moment) must be positive, got {mass}")

@@ -8,8 +8,9 @@ remaining null vectors null on the survivors.  As in a blocked LU, each
 update reaches only the rest of its block of 16 null vectors, and the
 vectors after the block take the whole block's updates in one matrix
 product.  It refactorizes only after a tie or when the basis is used up.
-On a tree level it stops at D surviving columns; the base case goes on
-until the surviving columns have full rank.  The weighted feature sums
+On a tree level it stops at D surviving columns; on the last level, the
+base case, whose groups hold one atom each, it goes on until the
+surviving columns have full rank.  The weighted feature sums
 are invariant under every step, so the survivors form a cubature formula:
 at most D nodes drawn from the original atoms, strictly positive weights,
 and the same moments as the input measure.
@@ -30,28 +31,31 @@ The engine has four layers:
 * ``_tree`` takes a piece, one block or the union of two results, in the
   piece's own rescale, and runs tree recombination (Litterer & Lyons 2012;
   Maalouf, Jubran & Feldman 2019) rather than one elimination per atom:
-  each level splits the live atoms into 2D contiguous groups, reduces the
-  D x 2D weighted group means, rescales the atom weights of the at most D
-  surviving groups and drops the rest, so every level costs one small
-  reduction and roughly halves the atoms.  It holds three numbers per atom
-  of the piece: index, weight and group.  Each level builds the feature
-  columns again, 4,096 atoms at a time, so extra memory is O(D * 4,096)
-  on top.
+  each level splits the n live atoms into min(2D, n) contiguous groups,
+  reduces the D x groups weighted group means, rescales the atom weights
+  of the surviving groups and drops the rest, so every level costs one
+  small reduction and roughly halves the atoms.  The last level, at most
+  2D atoms, has one atom per group, so its means are the atoms' own
+  columns: it is the base case, and its reduction ends with the closing
+  full-rank check.  The tree holds three numbers per atom of the piece:
+  index, weight and group.  Each level builds the feature columns again,
+  4,096 atoms at a time (the base level's at most 2D in one slice), so
+  extra memory is O(D * 4,096) on top.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
-  applied to a D x n column matrix of at most 2D columns: a level's group
-  means or the base case.
+  applied to a level's D x n group means, n <= 2D.
 
 Every factorization is a ``numpy.linalg.qr`` (LAPACK ``geqrf``) or a
 ``numpy.linalg.svd`` (LAPACK ``gesdd``).  Above D columns the kernel's null
 basis comes from the Householder reflectors of a QR, in compact WY form,
 which needs no rank decision; a tree level takes one such factorization
 when no tie occurs.  Every rank decision counts singular values above a
-tolerance: the kernel's null basis on at most D columns and the base
-case's closing full-rank check, and the detected rank of the input's
-feature columns, which takes singular vectors only when the first 2D
-columns have rank below D.  Grouping and blocks are fixed and no step is
-random, so reruns are identical.
+tolerance: one per kernel round on at most D columns, in ``_null_basis``,
+which is the closing full-rank check and, below full rank, the size of
+the null basis; and the detected rank of the input's feature columns,
+which takes singular vectors only when the first 2D columns have rank
+below D.  Grouping and blocks are fixed and no step is random, so reruns
+are identical.
 
 The public entry points are ``reduce`` and ``cubature_of_degree``.  The
 kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
@@ -167,15 +171,16 @@ class Cubature:
 class ReductionReport:
     """What the reduction did: sizes, steps, rank, and the achieved residual.
 
-    ``elimination_steps`` counts every pivot the kernel applied: group
-    eliminations on the tree levels' group means plus the eliminations of
-    the base cases.  ``tree_levels`` counts the group-mean levels that
-    removed groups, and ``rank_tol_factor`` is the factor by which the
-    internal rescale loosened every rank decision (1 for dictionaries,
-    which are not rescaled).  ``factorizations`` counts the kernel's QRs
-    and SVDs: a tree level takes one QR when no tie occurs, and only a base
-    case takes a closing full-rank check.  ``weight_ratio`` is the
-    largest final weight over the smallest, and ``node_condition`` the
+    ``elimination_steps`` counts every pivot the kernel applied on the
+    levels' group means, the base levels' single atoms included.
+    ``tree_levels`` counts the levels before the base level that removed
+    groups, and ``rank_tol_factor`` is the factor by which the internal
+    rescale loosened every rank decision (1 for dictionaries, which are not
+    rescaled).  ``factorizations`` counts the kernel's QRs and SVDs: a
+    level above the base takes one QR when no tie occurs, and only a base
+    level takes the closing full-rank check, a values-only SVD, with a
+    thin SVD after it when the columns are dependent.  ``weight_ratio`` is
+    the largest final weight over the smallest, and ``node_condition`` the
     ratio of the extreme singular values of the nodes' feature columns in
     the coordinates of ``rescaling`` (original ones for dictionaries),
     infinite when they are singular.  ``max_moment_residual_rel`` is the
@@ -233,14 +238,18 @@ def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
     rows, and one matrix product.  A reflector with tau = 0 is the
     identity; it becomes v = 0 with tau = 1, so nothing divides by zero.
 
-    At most D columns they are the trailing right singular vectors of a thin
-    SVD, and k is n minus the rank that ``_rank`` decides from the singular
-    values; k = 0 means the columns have full rank.
+    At most D columns the singular values alone decide the rank (``_rank``):
+    this is the closing full-rank check, and at rank n it returns k = 0
+    columns without forming a singular vector.  Below rank n a thin SVD
+    follows, and its trailing right singular vectors past that same rank
+    are the k = n - rank null vectors.
     """
     nrows, n = cols.shape
     if n <= nrows:
-        _, s, vt = np.linalg.svd(cols, full_matrices=False)
-        return vt[_rank(s, nrows, tol_factor):].T
+        rank = _rank(np.linalg.svd(cols, compute_uv=False), nrows, tol_factor)
+        if rank == n:
+            return np.empty((n, 0))
+        return np.linalg.svd(cols, full_matrices=False)[2][rank:].T
     # The raw factor is the transpose of LAPACK's: row i of h holds
     # reflector i below (to the right of) its diagonal.
     h, tau = np.linalg.qr(cols.T, mode="raw")
@@ -357,7 +366,7 @@ def _sweep(
     noise amplification an internal coordinate rescale introduced, so
     directions below input rounding noise do not count.
 
-    Each round takes one factorization of the live columns (``_null_basis``)
+    Each round makes one ``_null_basis`` call (at most one rank decision)
     and eliminates along its null basis in turn.  After each elimination
     the remaining null vectors must lose a multiple of the used direction,
     so that they vanish on the removed atom and stay null vectors of the
@@ -376,10 +385,11 @@ def _sweep(
 
     Without ``certify`` (a tree level, which only has to keep at most D of
     its 2D groups) the sweep stops as soon as at most D columns are live.
-    With it (the base case) a round with at most D live columns starts with
-    the singular values alone, which settle full rank (the closing check)
-    without the null basis; only this check proves the survivors
-    independent.
+    With it (the base level) it goes on until ``_null_basis`` returns no
+    null vector, which on at most D columns is its closing full-rank check
+    from the singular values alone; only this check proves the survivors
+    independent.  ``factorizations`` counts that check and, when the
+    columns are dependent, the thin SVD after it.
 
     With ``project_constant`` (monomial bases, whose entry 0 is the
     constant), each direction is scaled to unit max-norm and then projected
@@ -396,23 +406,17 @@ def _sweep(
     w = weights.astype(float, copy=True)
     steps = factorizations = 0
     while idx.shape[0] >= 2:
-        live = cols[:, idx]
-        if idx.shape[0] <= nrows:
-            if not certify:
-                break
-            factorizations += 1
-            svals = np.linalg.svd(live, compute_uv=False)
-            if _rank(svals, nrows, tol_factor) == idx.shape[0]:
-                break
+        if idx.shape[0] <= nrows and not certify:
+            break
         factorizations += 1
         # One null vector per row, updated in place; removed atoms keep
         # their columns (weight and null entries exactly 0) until the round
         # ends.
-        null = np.ascontiguousarray(_null_basis(live, tol_factor).T)
+        null = np.ascontiguousarray(_null_basis(cols[:, idx], tol_factor).T)
         if not null.shape[0]:
-            # The thin SVD's singular values put the rank at n after all
-            # (they may differ from svdvals' in the last bits).
-            break
+            break  # full rank: the closing check
+        if idx.shape[0] <= nrows:
+            factorizations += 1  # the thin SVD after the closing check
         # Scratch for every step of the round.
         size = count = idx.shape[0]
         alive = np.ones(size, dtype=bool)
@@ -496,22 +500,28 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
     [-1, 1]^N rescale.  Returns the survivors' (rows, atoms, weights), more
     than D of them when the piece's feature sums cancel, and adds the tree's
     counts into ``totals``.  The tree holds three numbers for each of its
-    live atoms: position, weight and group.  Each level splits the live
-    atoms into 2D contiguous groups and divides every weight by its group's
-    mass, so shares lie in [0, 1] and weights may span the float range,
-    subnormals included.  It builds the feature columns (rescaled, for a
-    monomial basis) 4,096 atoms at a time, weights them by the shares in
-    place and adds their per-group sums into the D x 2D group means.
-    ``_sweep`` reduces the means to at most D groups, with no closing check
-    (they may be dependent; later levels and the base case reduce them
-    further); each atom then gets its share of its group's new mass, and
-    atoms left at 0 (a removed group, or an underflow) are dropped.  The
-    first level also feeds a ``_SpanTracker``, in slices of 2D columns, so
-    no pass is spent on the rank alone.  At most 2D atoms go to ``_sweep``
-    as the base case, which ends with the closing full-rank check.  A level
-    whose group means cancel, so that no group can be removed, gives every
-    atom its weight back and ends the tree with its more than 2D atoms
-    unreduced.
+    live atoms: position, weight and group.  Each level splits the n live
+    atoms into min(2D, n) contiguous groups and divides every weight by its
+    group's mass, so shares lie in [0, 1] and weights may span the float
+    range, subnormals included.  It builds the feature columns (rescaled,
+    for a monomial basis) 4,096 atoms at a time, weights them by the shares
+    in place and adds their per-group sums into the group means.
+    ``_sweep`` reduces the means to at most D groups; each atom then gets
+    its share of its group's new mass, and atoms left at 0 (a removed
+    group, or an underflow) are dropped.  The first level also feeds a
+    ``_SpanTracker``, in slices of 2D columns, so no pass is spent on the
+    rank alone.
+
+    A level of more than 2D atoms stops its sweep at D groups, with no
+    closing check: they may be dependent, and later levels reduce them
+    further.  The level of at most 2D atoms is the base case and the last
+    level.  Its groups hold one atom each, so every share is w / w = 1.0
+    exactly and each mean, a sum over one column, equals that atom's
+    column (a -0.0 entry reads 0.0): the level is a sweep of the atoms
+    themselves, built in one slice so that the tracker takes them in one
+    SVD, and it runs on to the closing full-rank check.  A level whose
+    group means cancel, so that no group can be removed, gives every atom
+    its weight back and ends the tree with its atoms unreduced.
     """
     rescale = None
     tol_factor = 1.0
@@ -521,19 +531,21 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
         rescale = shift, scale
     dim = feature_count(features)
     tracker = _SpanTracker(dim, tol_factor)
-    groups = 2 * dim
-    n = atoms.shape[0]
-    pos = np.arange(n)  # live atom indices
+    pos = np.arange(atoms.shape[0])  # live atom indices
     w = weights.copy()
     levels = 0
-    while n > groups:
+    while True:
+        n = w.shape[0]
+        groups = min(2 * dim, n)
+        base = groups == n  # one atom per group
         bounds = (np.arange(groups + 1) * n) // groups
         group = np.repeat(np.arange(groups), np.diff(bounds))
         mass = np.add.reduceat(w, bounds[:-1])
         w /= mass[group]  # each atom's share of its group
         means = np.zeros((dim, groups))
-        for start in range(0, n, _ATOM_BLOCK):
-            stop = min(start + _ATOM_BLOCK, n)
+        block = n if base else _ATOM_BLOCK
+        for start in range(0, n, block):
+            stop = min(start + block, n)
             first, last = group[start], group[stop - 1] + 1
             cols = _columns(features, atoms[pos[start:stop]], rescale)
             if not levels and tracker.rank < dim:
@@ -546,7 +558,7 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
             del cols  # freed before the next block is built
         kept, new_mass, s, f = _sweep(
-            means, mass, project_constant, tol_factor, certify=False
+            means, mass, project_constant, tol_factor, certify=base
         )
         totals.steps += s
         totals.factorizations += f
@@ -557,18 +569,9 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
         live = w > 0.0
         w = w[live]
         pos = pos[live]
-        n = w.shape[0]
-        if kept.shape[0] == groups:
-            break  # no group removed: the atoms stay unreduced, no base case
+        if base or kept.shape[0] == groups:
+            break  # the base level, or a level that removed no group
         levels += 1
-    else:
-        cols = _columns(features, atoms[pos], rescale)
-        if not levels:
-            tracker.add(cols)
-        sub, w, s, f = _sweep(cols, w, project_constant, tol_factor)
-        totals.steps += s
-        totals.factorizations += f
-        pos = pos[sub]
     totals.levels += levels
     totals.rank = max(totals.rank, tracker.rank)
     totals.tol_factor = max(totals.tol_factor, tol_factor)

@@ -91,6 +91,31 @@ class TestBuildBasis:
             build_basis(5000, None, 2)  # 12,507,501 entries
         assert time.perf_counter() - start < 1.0
 
+    def test_exponent_cells_past_the_cap_are_refused_before_they_are_built(self):
+        # Every entry holds N integers: 491,536 entries of 990 coordinates
+        # are under the entry cap but would take gigabytes, and a degree-0
+        # basis over 10^12 coordinates has one entry of 10^12 integers.
+        start = time.perf_counter()
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(990, None, 2)
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(10**12, None, 0)
+        assert time.perf_counter() - start < 1.0
+
+    def test_cell_cap_is_32_times_the_entry_cap(self, monkeypatch):
+        # At an entry cap of 1,000 the cell cap is 32,000: 501 entries of 500
+        # coordinates are under the first but 250,500 cells are over the
+        # second, with unit weights or explicit ones.
+        monkeypatch.setattr(momcube.basis, "DEFAULT_DIMENSION_CAP", 1000)
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(500, None, 1)
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(500, [1] * 500, 1)
+        assert build_basis(178, None, 1).dimension == 179  # 31,862 cells
+        with pytest.raises(BasisError, match="cap"):
+            build_basis(179, None, 1)  # 32,220 cells
+        assert build_basis(32_000, [2] * 32_000, 1).dimension == 1
+
     def test_degree_bound_far_beyond_the_entry_count(self):
         # The count and the enumeration take no step per degree unit.
         basis = build_basis(2, [10**9, 3 * 10**9], 5 * 10**9)

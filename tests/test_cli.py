@@ -290,6 +290,18 @@ class TestFeasibleCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err and "expected 5000 coordinate columns" in err
 
+    @pytest.mark.parametrize("basis", ['{"num_vars": 990, "max_degree": 2}',
+                                       '{"num_vars": 1000000000000, "max_degree": 0}'])
+    def test_basis_past_the_exponent_cell_cap_exits_two(self, tmp_path, capsys, basis):
+        # Refused by the cell cap before any exponent tuple is built.
+        grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
+        path = _write(tmp_path / "moments.json", f'{{"basis": {basis}, "moments": {{"0": 1}}}}')
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "cap" in err
+
     def test_deeply_nested_moment_file_exits_two(self, tmp_path, capsys):
         grid = _write(tmp_path / "grid.csv", "0.5\n1.5\n")
         path = _write(tmp_path / "moments.json", _DEEP)

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -252,6 +253,20 @@ class TestTruncatedMomentFeasible:
         )
         assert result.status is FeasibilityStatus.FEASIBLE
         np.testing.assert_allclose(result.weights, [0.75, 0.25], atol=1e-10)
+
+    @pytest.mark.parametrize("key", [(1.5,), (1.9,), ("1",), (True,), "1", 1])
+    def test_exponent_that_is_not_an_integer_is_refused(self, key):
+        # All but the last once read as the moment of x, and the last
+        # raised TypeError.
+        grid = np.linspace(-1.0, 1.0, 21).reshape(-1, 1)
+        with pytest.raises(ValueError, match=re.escape(repr(key))):
+            truncated_moment_feasible({(0,): 1.0, key: 0.0, (2,): 0.3}, grid, 1, None, 2)
+
+    def test_numpy_integer_exponents_are_accepted(self):
+        grid = np.linspace(-1.0, 1.0, 21).reshape(-1, 1)
+        moments = {(np.int64(0),): 1.0, (np.int32(1),): 0.0, (np.uint8(2),): 0.3}
+        result, _ = truncated_moment_feasible(moments, grid, 1, None, 2)
+        assert result.status is FeasibilityStatus.FEASIBLE
 
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):

@@ -56,6 +56,35 @@ class TestFindNullVector:
     def test_single_nonzero_column_full_rank(self):
         assert _null_basis(np.array([[2.0], [1.0]]), 1.0).shape == (1, 0)
 
+    def test_full_rank_check_forms_no_singular_vectors(self, monkeypatch):
+        # At most D columns of full rank: the values-only SVD is the closing
+        # check, and no U or V is formed.
+        calls = []
+        svd = np.linalg.svd
+
+        def logged_svd(a, *args, **kwargs):
+            calls.append(kwargs.get("compute_uv", True))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", logged_svd)
+        cols = np.random.default_rng(201).standard_normal((9, 7))
+        assert _null_basis(cols, 1.0).shape == (7, 0)
+        assert calls == [False]
+
+    def test_rank_deficient_narrow_inputs(self):
+        # At most D columns of rank r < n: n - r orthonormal null vectors.
+        rng = np.random.default_rng(203)
+        for _ in range(20):
+            d = int(rng.integers(3, 9))
+            n = int(rng.integers(2, d + 1))
+            rank = int(rng.integers(1, n))
+            cols = rng.standard_normal((d, rank)) @ rng.standard_normal((rank, n))
+            null = _null_basis(cols, 1.0)
+            assert null.shape == (n, n - rank)
+            np.testing.assert_allclose(null.T @ null, np.eye(n - rank), atol=1e-13)
+            bound = 100 * d * np.finfo(float).eps * np.linalg.norm(cols, axis=0).max()
+            assert np.linalg.norm(cols @ null, axis=0).max() <= bound
+
     def test_residual_and_normalization_randomized(self):
         # Every column is a null vector, and the columns are orthonormal.
         rng = np.random.default_rng(23)
@@ -360,7 +389,9 @@ class TestSweepFactorizations:
         # 30 atoms on the unit circle at degree 4 (D = 15) are one base case
         # of rank 9.  The QR basis of the 30 columns has 15 null vectors;
         # the 15 survivors are still dependent, so the round after it takes
-        # an SVD null basis, and the closing check another SVD.
+        # the closing check's singular values and a thin SVD for the null
+        # basis, and the last round's check finds full rank: 4
+        # factorizations, 21 eliminations.
         t = 0.1 + 2.0 * np.pi * np.arange(30) / 30
         measure = DiscreteMeasure(
             np.column_stack([np.cos(t), np.sin(t)]),
@@ -371,8 +402,8 @@ class TestSweepFactorizations:
         assert basis.dimension == 15
         assert report.tree_levels == 0
         assert report.detected_rank == 9
-        assert report.elimination_steps > 15
-        assert report.factorizations >= 3
+        assert report.elimination_steps == 21
+        assert report.factorizations == 4
         assert 1 <= cubature.num_nodes <= 9
         assert (cubature.weights > 0).all()
         np.testing.assert_array_equal(cubature.nodes, measure.atoms[cubature.node_indices])
@@ -396,7 +427,9 @@ class TestSweepFactorizations:
         )
         basis = build_basis(2, [1, 1], 4)
         cubature, report = reduce(measure, basis)
-        assert report.tree_levels >= 2
+        assert report.tree_levels == 4
+        assert report.factorizations == 8
+        assert report.elimination_steps == 76
         assert report.detected_rank == 9
         assert 1 <= cubature.num_nodes <= 9
         assert np.unique(cubature.node_indices).shape[0] == cubature.num_nodes
@@ -418,10 +451,46 @@ class TestSweepFactorizations:
         weights = np.random.default_rng(199).uniform(0.5, 2.0, 30)
         sub, _, steps, factorizations = _sweep(cols, weights, True, 1.0, certify=False)
         assert (sub.shape[0], steps, factorizations) == (15, 15, 1)
-        sub, new_w, _, factorizations = _sweep(cols, weights, True, 1.0)
-        assert sub.shape[0] <= 9 and factorizations >= 3
+        sub, new_w, steps, factorizations = _sweep(cols, weights, True, 1.0)
+        assert (sub.shape[0], steps, factorizations) == (9, 21, 4)
         assert np.linalg.matrix_rank(cols[:, sub]) == sub.shape[0]
         np.testing.assert_allclose(cols[:, sub] @ new_w, cols @ weights, atol=1e-12)
+
+    @pytest.mark.parametrize("features", [
+        pytest.param(build_basis(2, [1, 1], 3), id="monomial"),
+        pytest.param(FunctionDictionary(
+            6, lambda x: np.array([1.0, x[0], x[1], x[0] * x[1], np.cos(x[0]), x[1] ** 3])
+        ), id="dictionary"),
+    ])
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_a_base_level_is_a_direct_sweep(self, features, extra):
+        # At most 2D atoms make one base level: one atom per group, so every
+        # share is exactly 1 and the group means are the atoms' own columns.
+        # The tree's survivors are a direct sweep's, bit for bit.  Atom 0
+        # sits at the box's centre in x and below it in y, so its rescaled
+        # columns hold -0.0 where the means hold 0.0.
+        dim = momcube.recomb.feature_count(features)
+        n = 2 * dim - extra
+        rng = np.random.default_rng(205)
+        atoms = rng.uniform(-1.0, 1.0, (n, 2))
+        atoms[0] = 0.5 * (atoms[1:, 0].min() + atoms[1:, 0].max()), -0.5
+        weights = rng.uniform(0.5, 2.0, n)
+        rescale, tol_factor = None, 1.0
+        monomial = isinstance(features, momcube.recomb.MonomialBasis)
+        if monomial:
+            shift, scale, tol_factor = momcube.recomb._rescale(atoms)
+            rescale = shift, scale
+        cols = momcube.recomb._columns(features, atoms, rescale)
+        sub, w, steps, factorizations = _sweep(cols, weights, monomial, tol_factor)
+        totals = momcube.recomb._Totals()
+        rows, nodes, tree_w = momcube.recomb._tree(
+            np.arange(n) + 100, atoms, weights, features, totals
+        )
+        np.testing.assert_array_equal(rows, sub + 100)
+        assert nodes.tobytes() == atoms[sub].tobytes()
+        assert tree_w.tobytes() == w.tobytes()
+        assert (totals.steps, totals.factorizations, totals.levels) == (steps, factorizations, 0)
+        assert steps > 0
 
     @pytest.mark.parametrize(
         "atoms, min_tol_factor",
