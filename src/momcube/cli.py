@@ -41,8 +41,8 @@ from .geometry import (
 from .measure import (
     MeasureFormatError,
     _is_json_number,
+    _load_json,
     _MomentSums,
-    _open_text,
     _read_blocks,
     load_measure,
 )
@@ -149,17 +149,14 @@ _OPTIONS = {
 
 
 def _read_json(path: str, what: str) -> dict:
-    """The JSON object in a file, decoded as measure files are."""
+    """The JSON object in a config or cubature file, read as moment files
+    are (``measure._load_json``)."""
     try:
-        with _open_text(path) as fh:
-            data = json.load(fh)
+        return _load_json(path)
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
+    except ValueError as exc:
         raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CliError(f"{what} {path} must hold a JSON object")
-    return data
 
 
 def _settings(args: argparse.Namespace) -> argparse.Namespace:
@@ -217,12 +214,9 @@ def _read_input(cfg: argparse.Namespace) -> tuple[int, Iterator]:
     return first[0].shape[1], itertools.chain([first], reader)
 
 
-def _require_basis(cfg: argparse.Namespace, measure_vars: int) -> MonomialBasis:
-    num_vars = cfg.num_vars if cfg.num_vars is not None else measure_vars
-    if num_vars != measure_vars:
-        raise CliError(
-            f"config says {num_vars} coordinates but input has {measure_vars}"
-        )
+def _require_basis(cfg: argparse.Namespace, num_vars: int) -> MonomialBasis:
+    """The basis over the measure's coordinates; the reader has already
+    held every row to ``--num-vars`` when it is given."""
     try:
         return build_basis(num_vars, cfg.weights, cfg.degree)
     except BasisError as exc:

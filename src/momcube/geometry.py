@@ -28,7 +28,6 @@ is reported as Indeterminate, with the reason, rather than coerced.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,7 @@ from .basis import (
     MonomialBasis, MultiIndex, _embed_into, basis_from_config, build_basis, embed_block,
 )
 from .measure import (
-    _ATOM_BLOCK, DiscreteMeasure, _finite_or_none, _is_json_number, _json_float,
-    _open_text,
+    _ATOM_BLOCK, DiscreteMeasure, _finite_or_none, _is_json_number, _json_float, _load_json,
 )
 
 DEFAULT_FEAS_TOL = 1e-9
@@ -536,32 +534,17 @@ def moments_to_dict(basis: MonomialBasis, values) -> dict:
     }
 
 
-def _distinct_keys(pairs) -> dict:
-    """A JSON object as a dict, refusing a key that appears twice (the JSON
-    parser would keep the later value)."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValueError(f"key {key!r} appears twice in one object")
-        out[key] = value
-    return out
-
-
 def load_moment_file(source) -> tuple[MonomialBasis, dict[MultiIndex, float]]:
     """Read a moment file: {"basis": {...}, "moments": {"2,0": value, ...}}.
 
-    The source is a path, bytes or a file object, decoded as measure files
-    are.  An integer too large for a float reads as +-inf, which the
-    feasibility query refuses.  Raises ValueError when two keys name the
-    same moment ("1" and "01", or "1" twice), since either value could
-    decide the verdict.
+    The source is a path, bytes or a file object, read by the JSON reader
+    of config and cubature files (``measure._load_json``).  An integer too
+    large for a float reads as +-inf, which the feasibility query refuses.
+    Raises ValueError when two keys name the same moment ("1" and "01", or
+    "1" twice), since either value could decide the verdict.
     """
-    with _open_text(source) as fh:
-        try:
-            data = json.load(fh, object_pairs_hook=_distinct_keys)
-        except RecursionError as exc:
-            raise ValueError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, dict) or "basis" not in data or "moments" not in data:
+    data = _load_json(source)
+    if "basis" not in data or "moments" not in data:
         raise ValueError('moment file needs "basis" and "moments" entries')
     basis = basis_from_config(data["basis"])
     moments = data["moments"]

@@ -27,7 +27,8 @@ from the rows already delivered.  Both line parsers, CSV and JSONL, yield
 checked (coordinates, weight) rows, and one assembler, ``_line_blocks``,
 packs those rows into blocks over flat ``array("d")`` buffers.
 ``_open_text`` decodes measure, moment, config and cubature text alike
-(UTF-8, a leading byte-order mark dropped).
+(UTF-8, a leading byte-order mark dropped), and ``_load_json`` reads a
+moment, config or cubature file's JSON object through it.
 
 Array ownership: ``DiscreteMeasure(atoms, weights)`` copies its inputs, so
 a caller may go on writing to its own arrays.  ``load_measure`` builds the
@@ -239,6 +240,32 @@ def _open_text(source: Union[str, Path, bytes, IO]):
     else:
         raise MeasureFormatError(f"unsupported measure source {type(source).__name__}")
     return io.TextIOWrapper(binary, encoding="utf-8-sig", newline=None)
+
+
+def _distinct_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key that appears twice (the JSON
+    parser would keep the later value)."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"key {key!r} appears twice in one object")
+        out[key] = value
+    return out
+
+
+def _load_json(source) -> dict:
+    """The JSON object in a moment, config or cubature file, decoded by
+    ``_open_text``.  A key named twice in one object (at any depth), a
+    syntax error or nesting deeper than the parser's recursion ("invalid
+    JSON: ..."), and a document that is not an object are ValueErrors."""
+    with _open_text(source) as fh:
+        try:
+            data = json.load(fh, object_pairs_hook=_distinct_keys)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object at the top level")
+    return data
 
 
 def _parses_as_float(cell: str) -> bool:

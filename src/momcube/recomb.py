@@ -268,10 +268,7 @@ def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
     return rows.T
 
 
-def _eliminate(
-    w: np.ndarray, c: np.ndarray, ratio: np.ndarray | None = None,
-    zeroed: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
+def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     """Shift mass along a null direction until one weight hits exactly zero.
 
     ``c`` has unit max-norm, as ``_sweep`` scales it.  Picks t* = min over
@@ -283,21 +280,15 @@ def _eliminate(
     spanning hundreds of decades) has its smallest ratio at such an entry.
     A direction with no entry above the floor is negated first, so t* is
     always defined; the result is nonnegative and the weighted column sum
-    is unchanged in exact arithmetic.
-
-    ``ratio`` (float) and ``zeroed`` (bool), arrays of c's length, are
-    scratch space that a caller may allocate once for many steps; on return
-    ``zeroed`` marks the entries of the result that are 0.
+    is unchanged in exact arithmetic.  Every zeroed entry of the result is
+    exactly +0.0 and every other entry is positive.
     """
-    if ratio is None:
-        ratio = np.empty(c.shape[0])
-        zeroed = np.empty(c.shape[0], dtype=bool)
     floor = c.shape[0] * _EPS
-    pos = np.greater(c, floor, out=zeroed)
+    pos = c > floor
     if not _any(pos):
         c = -c
-        pos = np.greater(c, floor, out=zeroed)
-    ratio.fill(np.inf)
+        pos = c > floor
+    ratio = np.full(c.shape[0], np.inf)
     np.divide(w, c, out=ratio, where=pos)
     j_star = int(ratio.argmin())
     shift = ratio[j_star] * c
@@ -308,7 +299,7 @@ def _eliminate(
     thresh = np.abs(shift, out=shift)
     thresh += np.abs(w, out=ratio)
     thresh *= 32.0 * _EPS
-    np.less_equal(out, thresh, out=zeroed)
+    zeroed = out <= thresh
     zeroed[j_star] = True
     out[zeroed] = 0.0
     return out, j_star
@@ -420,8 +411,6 @@ def _sweep(
         # Scratch for every step of the round.
         size = count = idx.shape[0]
         alive = np.ones(size, dtype=bool)
-        zeroed = np.empty(size, dtype=bool)
-        ratio = np.empty(size)
         magnitude = np.empty(size)
         projected = np.empty(size)
         buf = np.empty((_BLOCK - 1, size))
@@ -437,15 +426,15 @@ def _sweep(
                     peak = _max(np.abs(projected, out=magnitude))
                     if peak > 1e-8:
                         np.divide(projected, peak, out=c)
-                new_w, j_star = _eliminate(w, c, ratio, zeroed)
-                left = size - int(np.count_nonzero(zeroed))
+                new_w, j_star = _eliminate(w, c)
+                left = int(np.count_nonzero(new_w))
                 if not left:
                     # Exactly cancelling features (zero moment vector): no atom
                     # can be removed without losing representability, stop here.
                     return idx[alive], w[alive], steps, factorizations
                 steps += 1
                 w = new_w
-                np.logical_not(zeroed, out=alive)
+                np.not_equal(w, 0.0, out=alive)
                 if left < count - 1:
                     tie = True  # refactorize
                     break

@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momcube.cli
 from momcube.cli import main
+from momcube.geometry import truncated_moment_feasible
 from oracles import enumerate_positive_cubatures
 
 
@@ -151,6 +153,29 @@ class TestReduceCommand:
         assert code == 2
         assert "config" in capsys.readouterr().err
 
+    def test_config_that_holds_a_list_exits_two(self, tmp_path, five_atom_csv, capsys):
+        config = _write(tmp_path / "cfg.json", json.dumps([{"basis": {"num_vars": 1}}]))
+        code = main(["reduce", "--config", config, "--input", five_atom_csv, "--degree", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "expected a JSON object at the top level" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"tol": 1e-30, "tol": 1e-8}', "tol"),
+        ('{"basis": {"max_degree": 7, "max_degree": 2}}', "max_degree"),
+    ], ids=["top", "nested"])
+    def test_config_key_named_twice_exits_two(self, tmp_path, five_atom_csv, capsys, text, key):
+        # The later value used to win: the run below passed with tol 1e-8.
+        config = _write(tmp_path / "cfg.json", text)
+        code = main(["reduce", "--config", config, "--input", five_atom_csv, "--num-vars", "1",
+                     "--degree", "2", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"key {key!r} appears twice in one object" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestMomentsCommand:
     def test_moments_file_feeds_feasible(self, tmp_path, five_atom_csv):
@@ -172,6 +197,18 @@ class TestMomentsCommand:
         assert feasibility["status"] == "feasible"
         assert feasibility["witness"] is not None
 
+
+    def test_jsonl_blank_lines_are_skipped(self, tmp_path):
+        rows = ['{"x": [%d.0], "w": 0.5}' % v for v in range(5)]
+        plain = _write(tmp_path / "plain.jsonl", "\n".join(rows) + "\n")
+        blank = _write(tmp_path / "blank.jsonl",
+                       "\n" + "\n\n".join(rows[:3]) + "\n   \r\n\t\n" + "\n".join(rows[3:]) + "\n\n")
+        for name, source in (("plain", plain), ("blank", blank)):
+            assert main(["moments", "--input", source, "--format", "jsonl", "--degree", "2",
+                         "--out-dir", str(tmp_path / name)]) == 0
+        payload = (tmp_path / "blank" / "moments.json").read_bytes()
+        assert payload == (tmp_path / "plain" / "moments.json").read_bytes()
+        assert json.loads(payload)["moments"] == {"0": 2.5, "1": 5.0, "2": 15.0}
 
     def test_jsonl_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys):
         source = _write(tmp_path / "m.jsonl", '{"x": [1.0]}\n{"x": [1%s]}\n' % ("0" * 400))
@@ -217,6 +254,28 @@ class TestFeasibleCommand:
         code = main(["feasible", "--input", moments, "--grid", grid])
         assert code == 2
         assert "basis" in capsys.readouterr().err
+
+    def test_iteration_cap_exits_three(self, tmp_path, monkeypatch, capsys):
+        # One NNLS iteration cannot decide an interior point of a tensor grid.
+        def capped(*args, **kwargs):
+            return truncated_moment_feasible(*args, **kwargs, max_iterations=1)
+
+        monkeypatch.setattr(momcube.cli, "truncated_moment_feasible", capped)
+        axis = np.linspace(-1.0, 1.0, 5)
+        grid = _write(tmp_path / "grid.csv",
+                      "".join(f"{x},{y}\n" for x in axis for y in axis))
+        basis = {"num_vars": 2, "degree_weights": [1, 1], "max_degree": 2}
+        moments = {"0,0": 1.0, "1,0": 0.1, "0,1": -0.2, "2,0": 0.3, "1,1": 0.0, "0,2": 0.4}
+        path = _write(tmp_path / "moments.json", json.dumps({"basis": basis, "moments": moments}))
+        code = main(["feasible", "--input", path, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert "status indeterminate" in capsys.readouterr().out
+        payload = json.loads((tmp_path / "out" / "feasibility.json").read_text())
+        assert payload["status"] == "indeterminate"
+        assert payload["reason"] == "iteration_limit"
+        assert payload["weights"] is None and payload["certificate"] is None
+        assert "witness" not in payload
 
     def test_missing_grid_exits_two(self, tmp_path):
         moments = self._moment_file(tmp_path, [1.0, 0.0, 0.5])
@@ -411,6 +470,23 @@ class TestVerifyCommand:
         assert self._verify_identity(tmp_path, basis=basis) == 2
         assert "num_vars must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ('"weights": [2.0, 2.0, 2.0]}', "weights"),
+        ('"basis": {"num_vars": 1, "num_vars": 2, "max_degree": 2}}', "num_vars"),
+    ], ids=["top", "nested"])
+    def test_key_named_twice_exits_two(self, tmp_path, capsys, text, key):
+        # A second "weights" array used to replace the first: verify judged
+        # the doubled weights and exited 1 on the mass gap.
+        assert self._verify_identity(tmp_path) == 0
+        path = tmp_path / "cubature.json"
+        path.write_text(path.read_text().rstrip()[:-1] + ", " + text)
+        code = main(["verify", "--input", str(tmp_path / "line.csv"), "--num-vars", "1",
+                     "--cubature", str(path), "--out-dir", str(tmp_path / "again")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and f"key {key!r} appears twice in one object" in err
+        assert not (tmp_path / "again" / "verification_report.json").exists()
+
     def test_deeply_nested_cubature_file_exits_two(self, tmp_path, five_atom_csv, capsys):
         cubature = _write(tmp_path / "cubature.json", _DEEP)
         code = main(["verify", "--input", five_atom_csv, "--num-vars", "1",
@@ -555,6 +631,42 @@ class TestOptionTable:
     def test_missing_required_option_exits_two(self, tmp_path, capsys, command, argv, flag):
         assert main([command, *argv, "--out-dir", str(tmp_path / "out")]) == 2
         assert f"error: missing {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_degree_weights_from_flag_or_config(self, tmp_path, source):
+        measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")
+        args = ["moments", "--input", measure, "--num-vars", "2", "--degree", "2",
+                "--out-dir", str(tmp_path / "out")]
+        if source == "flag":
+            args += ["--weights", "1,2"]
+        else:
+            config = {"basis": {"degree_weights": [1, 2]}}
+            args += ["--config", _write(tmp_path / "cfg.json", json.dumps(config))]
+        assert main(args) == 0
+        payload = json.loads((tmp_path / "out" / "moments.json").read_text())
+        assert payload["basis"]["degree_weights"] == [1, 2]
+        # x has weight 1 and y weight 2, so y^2 and xy exceed degree 2.
+        assert payload["moments"] == {"0,0": 4.0, "1,0": 2.0, "2,0": 2.0, "0,1": 2.0}
+
+    @pytest.mark.parametrize("flag, config, where", [
+        ("0", None, ""), ("a", None, ""), ("1,,2", None, ""),
+        (None, [1, True], " (config key 'basis.degree_weights')"),
+        (None, "1,2.5", " (config key 'basis.degree_weights')"),
+    ], ids=["zero", "letter", "empty-entry", "config-true", "config-float-text"])
+    def test_bad_degree_weights_exit_two(self, tmp_path, capsys, flag, config, where):
+        measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n")
+        args = ["moments", "--input", measure, "--num-vars", "2", "--degree", "2",
+                "--out-dir", str(tmp_path / "out")]
+        if flag is not None:
+            args += ["--weights", flag]
+        else:
+            config_path = _write(tmp_path / "cfg.json",
+                                 json.dumps({"basis": {"degree_weights": config}}))
+            args += ["--config", config_path]
+        assert main(args) == 2
+        assert f"error: --weights{where} expects comma-separated positive integers" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_string_is_read_like_its_flag(self, tmp_path, five_atom_csv):
         config = _write(tmp_path / "cfg.json", json.dumps({"basis": {"num_vars": "1"}}))

@@ -65,6 +65,11 @@ class TestConeMembership:
         assert _witness_residual(result, columns, target) <= 1e-9
         assert np.count_nonzero(result.weights) <= basis.dimension
 
+    @pytest.mark.parametrize("rows", [2, 4])
+    def test_column_matrix_of_another_row_count_is_refused(self, rows):
+        with pytest.raises(ValueError, match=r"expected a \(3, M\) column matrix"):
+            cone_membership(np.array([1.0, 0.0, 0.5]), np.ones((rows, 5)))
+
     def test_negative_mass_is_infeasible(self):
         columns = np.ones((1, 4))
         result = cone_membership(np.array([-1.0]), columns)
@@ -314,6 +319,25 @@ class TestTruncatedMomentFeasible:
             ValueError, match=f"grid points have {ncoords} coordinates, expected 1"
         ):
             truncated_moment_feasible({(0,): 1.0, (1,): 0.0}, grid, 1, [1], 1)
+
+    def test_measure_grid_decides_as_its_atoms(self):
+        rng = np.random.default_rng(97)
+        grid = DiscreteMeasure(rng.uniform(-1, 1, (30, 2)), np.ones(30))
+        basis = build_basis(2, None, 2)
+        target = moment_vector(DiscreteMeasure(grid.atoms[:7], rng.uniform(0.5, 1, 7)), basis)
+        moments = dict(zip(basis.indices, target))
+        by_measure, witness = truncated_moment_feasible(moments, grid, 2, None, 2)
+        by_atoms, atoms_witness = truncated_moment_feasible(moments, grid.atoms, 2, None, 2)
+        assert by_measure.status is FeasibilityStatus.FEASIBLE
+        assert by_measure.to_dict() == by_atoms.to_dict()
+        np.testing.assert_array_equal(witness.atoms, atoms_witness.atoms)
+        np.testing.assert_array_equal(witness.weights, atoms_witness.weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        grid = np.array([[0.0], [bad], [1.0]])
+        with pytest.raises(ValueError, match="^grid points must be finite$"):
+            truncated_moment_feasible({(0,): 1.0, (1,): 0.5}, grid, 1, [1], 1)
 
     def test_witness_feeds_back_into_reduction(self):
         rng = np.random.default_rng(89)

@@ -309,6 +309,36 @@ class TestLoadMeasureJsonl:
             load_measure(_csv("1.0\n"), "parquet")
 
 
+class TestLoadJson:
+    """``measure._load_json``, the reader of moment, config and cubature files."""
+
+    @pytest.mark.parametrize("wrap", [bytes, io.BytesIO, lambda b: io.StringIO(b.decode())],
+                             ids=["bytes", "binary-file", "text-file"])
+    def test_bom_and_any_line_end(self, wrap):
+        text = b'\xef\xbb\xbf{"a": 1,\r\n"b": {"c": [2]}\r}\n'
+        assert measure._load_json(wrap(text)) == {"a": 1, "b": {"c": [2]}}
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"a": 1, "a": 2}', "a"),
+        ('{"a": {"b": 1, "b": 1}}', "b"),
+        ('{"a": [{"c": 1}, {"c": 1, "c": 2}]}', "c"),
+    ], ids=["top", "nested", "in-array"])
+    def test_key_named_twice_is_refused(self, text, key):
+        with pytest.raises(ValueError, match=f"^key '{key}' appears twice in one object$"):
+            measure._load_json(text.encode())
+
+    @pytest.mark.parametrize("text", ["{not json", "", '{"a": 1} 2', "[" * 100_000 + "]" * 100_000],
+                             ids=["syntax", "empty", "trailing", "deep"])
+    def test_invalid_json_is_refused(self, text):
+        with pytest.raises(ValueError, match="^invalid JSON: "):
+            measure._load_json(text.encode())
+
+    @pytest.mark.parametrize("text", ["[]", '"x"', "1", "null"])
+    def test_document_that_is_not_an_object_is_refused(self, text):
+        with pytest.raises(ValueError, match="^expected a JSON object at the top level$"):
+            measure._load_json(text.encode())
+
+
 class TestDiscreteMeasure:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
