@@ -156,7 +156,7 @@ def _read_json(path: str, what: str) -> dict:
     except OSError as exc:
         raise CliError(f"cannot read {what} {path}: {exc}") from exc
     except ValueError as exc:
-        raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
+        raise CliError(f"{what} {path}: {exc}") from exc
 
 
 def _settings(args: argparse.Namespace) -> argparse.Namespace:

@@ -90,12 +90,11 @@ from .verify import VerificationReport, _verification
 from .measure import moment_vector  # noqa: F401
 
 _EPS = np.finfo(float).eps
-# The ufunc reductions behind ndarray.any, .max and .sum, called directly:
-# the same results without the method wrappers, which cost as much as the
-# work on the kernel's vectors of at most 2D entries.
+# The ufunc reductions behind ndarray.any and .max, called directly: the
+# same results without the method wrappers, which cost as much as the work
+# on the kernel's vectors of at most 2D entries.
 _any = np.logical_or.reduce
 _max = np.maximum.reduce
-_sum = np.add.reduce
 # Null vectors per block of the kernel's delayed update (see ``_sweep``).
 _BLOCK = 16
 
@@ -345,10 +344,7 @@ class _SpanTracker:
 # ``_eliminate``) can overflow to inf, which only takes that atom out of the
 # minimum ratio; nothing else in a round overflows on finite input.
 @np.errstate(over="ignore")
-def _sweep(
-    cols: np.ndarray, weights: np.ndarray, project_constant: bool, tol_factor: float,
-    *, certify: bool = True,
-):
+def _sweep(cols: np.ndarray, weights: np.ndarray, tol_factor: float, *, certify: bool = True):
     """Deterministic reduction of a D x n column matrix to at most D
     columns, and with ``certify`` until they are linearly independent.
 
@@ -380,17 +376,9 @@ def _sweep(
     null vector, which on at most D columns is its closing full-rank check
     from the singular values alone; only this check proves the survivors
     independent.  ``factorizations`` counts that check and, when the
-    columns are dependent, the thin SVD after it.
-
-    With ``project_constant`` (monomial bases, whose entry 0 is the
-    constant), each direction is scaled to unit max-norm and then projected
-    onto zero sum over the live atoms.  The constant row already makes it
-    sum to zero up to rounding; removing that rounding keeps the mass exact
-    along the chain.  Without the projection the worst verify residual on
-    the ``reduce-d126`` benchmark inputs (seeds 1-3, D = 126) rose from
-    3.4e-13 to 5.3e-13.  Projecting before scaling raised the median
-    residual of 12 seeded 10^5-atom reductions at D = 20 from 1.0e-12 to
-    1.4e-12.
+    columns are dependent, the thin SVD after it.  Each direction is only
+    scaled to unit max-norm; the mass of a monomial basis is pinned exactly
+    by the output step (``_reduce_blocks``), not along the chain.
     """
     nrows = cols.shape[0]
     idx = np.arange(cols.shape[1])
@@ -410,9 +398,7 @@ def _sweep(
             factorizations += 1  # the thin SVD after the closing check
         # Scratch for every step of the round.
         size = count = idx.shape[0]
-        alive = np.ones(size, dtype=bool)
         magnitude = np.empty(size)
-        projected = np.empty(size)
         buf = np.empty((_BLOCK - 1, size))
         pivots = np.empty(_BLOCK, dtype=np.intp)
         tie = False
@@ -420,21 +406,15 @@ def _sweep(
             block = null[start:start + _BLOCK]
             for b, c in enumerate(block):
                 c /= _max(np.abs(c, out=magnitude))
-                if project_constant:
-                    np.multiply(alive, _sum(c) / count, out=projected)
-                    np.subtract(c, projected, out=projected)
-                    peak = _max(np.abs(projected, out=magnitude))
-                    if peak > 1e-8:
-                        np.divide(projected, peak, out=c)
                 new_w, j_star = _eliminate(w, c)
                 left = int(np.count_nonzero(new_w))
                 if not left:
                     # Exactly cancelling features (zero moment vector): no atom
                     # can be removed without losing representability, stop here.
+                    alive = w > 0.0
                     return idx[alive], w[alive], steps, factorizations
                 steps += 1
                 w = new_w
-                np.not_equal(w, 0.0, out=alive)
                 if left < count - 1:
                     tie = True  # refactorize
                     break
@@ -452,6 +432,7 @@ def _sweep(
                 piv = pivots[:block.shape[0]]
                 tail -= np.linalg.solve(block[:, piv].T, tail[:, piv].T).T @ block
                 tail[:, piv] = 0.0
+        alive = w > 0.0
         idx = idx[alive]
         w = w[alive]
     return idx, w, steps, factorizations
@@ -514,8 +495,7 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
     """
     rescale = None
     tol_factor = 1.0
-    project_constant = isinstance(features, MonomialBasis)
-    if project_constant:
+    if isinstance(features, MonomialBasis):
         shift, scale, tol_factor = _rescale(atoms)
         rescale = shift, scale
     dim = feature_count(features)
@@ -546,9 +526,7 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
             offsets[0] = 0
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
             del cols  # freed before the next block is built
-        kept, new_mass, s, f = _sweep(
-            means, mass, project_constant, tol_factor, certify=base
-        )
+        kept, new_mass, s, f = _sweep(means, mass, tol_factor, certify=base)
         totals.steps += s
         totals.factorizations += f
         # When the means cancel, every group is kept at its own mass.

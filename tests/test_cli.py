@@ -492,7 +492,7 @@ class TestVerifyCommand:
         code = main(["verify", "--input", five_atom_csv, "--num-vars", "1",
                      "--cubature", cubature, "--out-dir", str(tmp_path / "check")])
         assert code == 2
-        assert "is not valid JSON" in capsys.readouterr().err
+        assert "invalid JSON" in capsys.readouterr().err
 
     def test_basis_of_other_dimension_exits_two(self, tmp_path, capsys):
         measure = _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")

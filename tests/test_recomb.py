@@ -429,7 +429,7 @@ class TestSweepFactorizations:
         cubature, report = reduce(measure, basis)
         assert report.tree_levels == 4
         assert report.factorizations == 8
-        assert report.elimination_steps == 76
+        assert report.elimination_steps == 79
         assert report.detected_rank == 9
         assert 1 <= cubature.num_nodes <= 9
         assert np.unique(cubature.node_indices).shape[0] == cubature.num_nodes
@@ -449,9 +449,9 @@ class TestSweepFactorizations:
         t = 2.0 * np.pi * np.arange(60) / 60
         cols = embed_block(basis, np.column_stack([np.cos(t), np.sin(t)]))[:, :30]
         weights = np.random.default_rng(199).uniform(0.5, 2.0, 30)
-        sub, _, steps, factorizations = _sweep(cols, weights, True, 1.0, certify=False)
+        sub, _, steps, factorizations = _sweep(cols, weights, 1.0, certify=False)
         assert (sub.shape[0], steps, factorizations) == (15, 15, 1)
-        sub, new_w, steps, factorizations = _sweep(cols, weights, True, 1.0)
+        sub, new_w, steps, factorizations = _sweep(cols, weights, 1.0)
         assert (sub.shape[0], steps, factorizations) == (9, 21, 4)
         assert np.linalg.matrix_rank(cols[:, sub]) == sub.shape[0]
         np.testing.assert_allclose(cols[:, sub] @ new_w, cols @ weights, atol=1e-12)
@@ -476,12 +476,11 @@ class TestSweepFactorizations:
         atoms[0] = 0.5 * (atoms[1:, 0].min() + atoms[1:, 0].max()), -0.5
         weights = rng.uniform(0.5, 2.0, n)
         rescale, tol_factor = None, 1.0
-        monomial = isinstance(features, momcube.recomb.MonomialBasis)
-        if monomial:
+        if isinstance(features, momcube.recomb.MonomialBasis):
             shift, scale, tol_factor = momcube.recomb._rescale(atoms)
             rescale = shift, scale
         cols = momcube.recomb._columns(features, atoms, rescale)
-        sub, w, steps, factorizations = _sweep(cols, weights, monomial, tol_factor)
+        sub, w, steps, factorizations = _sweep(cols, weights, tol_factor)
         totals = momcube.recomb._Totals()
         rows, nodes, tree_w = momcube.recomb._tree(
             np.arange(n) + 100, atoms, weights, features, totals
@@ -491,6 +490,28 @@ class TestSweepFactorizations:
         assert tree_w.tobytes() == w.tobytes()
         assert (totals.steps, totals.factorizations, totals.levels) == (steps, factorizations, 0)
         assert steps > 0
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_monomials_and_their_dictionary_share_one_kernel_path(self, seed):
+        # Atoms whose box is exactly [-1, 1]^3 rescale to themselves, so a
+        # monomial basis and a dictionary of the same monomials give the
+        # sweep the same columns and the same tolerance.  The trees then keep
+        # the same nodes with the same weights; only the output step differs,
+        # pinning the monomial basis's mass by one global rescale.
+        basis = build_basis(3, [1, 1, 1], 4)
+        rng = np.random.default_rng(seed)
+        atoms = rng.uniform(-1.0, 1.0, (2000, 3))
+        atoms[0], atoms[1] = -1.0, 1.0
+        measure = DiscreteMeasure(atoms, rng.uniform(0.5, 2.0, 2000))
+        dictionary = FunctionDictionary(
+            basis.dimension, lambda x: embed_block(basis, x[np.newaxis])[:, 0]
+        )
+        cubature, report = reduce(measure, basis)
+        dict_cubature, dict_report = reduce(measure, dictionary)
+        assert report.rank_tol_factor == dict_report.rank_tol_factor == 1.0
+        np.testing.assert_array_equal(cubature.node_indices, dict_cubature.node_indices)
+        pin = measure.total_mass / math.fsum(dict_cubature.weights.tolist())
+        assert cubature.weights.tobytes() == (dict_cubature.weights * pin).tobytes()
 
     @pytest.mark.parametrize(
         "atoms, min_tol_factor",
@@ -541,7 +562,7 @@ class TestBlockedUpdate:
         weights = rng.uniform(0.1, 2.0, 112)
         assert basis.dimension == 56
         assert momcube.recomb._BLOCK == 16
-        sub, new_w, steps, factorizations = _sweep(cols, weights, True, 1.0)
+        sub, new_w, steps, factorizations = _sweep(cols, weights, 1.0)
         assert steps == 56
         assert factorizations == 2
         # The contract: at most D distinct input atoms, positive weights, the
@@ -553,12 +574,12 @@ class TestBlockedUpdate:
         assert (np.abs(cols[:, sub] @ new_w - target) <= 1e-12 * (1.0 + np.abs(target))).all()
         mass = math.fsum(weights.tolist())
         assert abs(math.fsum(new_w.tolist()) - mass) <= 1e-12 * mass
-        again = _sweep(cols, weights, True, 1.0)
+        again = _sweep(cols, weights, 1.0)
         np.testing.assert_array_equal(again[0], sub)
         assert again[1].tobytes() == new_w.tobytes()
         # The one-at-a-time update (a single block) keeps the same atoms.
         monkeypatch.setattr(momcube.recomb, "_BLOCK", 56)
-        single = _sweep(cols, weights, True, 1.0)
+        single = _sweep(cols, weights, 1.0)
         np.testing.assert_array_equal(single[0], sub)
         np.testing.assert_allclose(single[1], new_w, rtol=1e-10)
 
@@ -593,7 +614,7 @@ class TestBlockedUpdate:
 
         monkeypatch.setattr(momcube.recomb, "_null_basis", logged_null_basis)
         monkeypatch.setattr(momcube.recomb, "_eliminate", logged_eliminate)
-        sub, new_w, steps, factorizations = _sweep(cols, weights, False, 1.0)
+        sub, new_w, steps, factorizations = _sweep(cols, weights, 1.0)
         assert momcube.recomb._BLOCK == 16
         assert rounds[0] == [80, 17, 18]
         assert rounds[1][0] == 62
@@ -605,7 +626,7 @@ class TestBlockedUpdate:
         assert np.unique(sub).shape[0] == sub.shape[0]
         assert (new_w > 0.0).all()
         np.testing.assert_allclose(cols[:, sub] @ new_w, cols @ weights, rtol=0, atol=1e-14)
-        again = _sweep(cols, weights, False, 1.0)
+        again = _sweep(cols, weights, 1.0)
         np.testing.assert_array_equal(again[0], sub)
         assert again[1].tobytes() == new_w.tobytes()
 
