@@ -22,8 +22,13 @@ class BasisError(ValueError):
     """Invalid basis specification (bad dimensions, weights, or size cap)."""
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; a bool is an int in Python but not here."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise BasisError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise BasisError(f"{name} must be >= 1, got {value}")
@@ -186,7 +191,7 @@ def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
     an N too large for that is refused before its weights are built.
     """
     n = _check_positive_int(num_vars, "num_vars")
-    if isinstance(max_degree, bool) or not isinstance(max_degree, (int, np.integer)):
+    if not _is_integer(max_degree):
         raise BasisError(f"max_degree must be an integer, got {max_degree!r}")
     if max_degree < 0:
         raise BasisError(f"max_degree must be >= 0, got {max_degree}")

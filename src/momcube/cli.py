@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .basis import BasisError, MonomialBasis, basis_from_config, build_basis
+from .basis import BasisError, MonomialBasis, _is_integer, basis_from_config, build_basis
 from .geometry import (
     DEFAULT_FEAS_TOL,
     FeasibilityStatus,
@@ -88,7 +88,7 @@ def _integer(low: int) -> Callable[[object], int]:
                 value = int(value)
             except ValueError:
                 pass
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        if not _is_integer(value) or value < low:
             raise ValueError(f"expects an integer >= {low}, got {value!r}")
         return value
     return check
@@ -317,10 +317,6 @@ def cmd_feasible(cfg: argparse.Namespace) -> int:
     return _EXIT_INDETERMINATE
 
 
-def _is_json_integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _leaves(value):
     """The entries of a JSON array, nested arrays flattened."""
     if isinstance(value, list):
@@ -349,12 +345,12 @@ def _load_cubature_file(path: str) -> tuple[Cubature, MonomialBasis]:
     try:
         basis = basis_from_config(data["basis"])
         degree = data.get("degree")
-        if not _is_json_integer(degree) or degree != basis.max_degree:
+        if not _is_integer(degree) or degree != basis.max_degree:
             raise ValueError(
                 f"'degree' must be the basis's max_degree {basis.max_degree}, got {degree!r}"
             )
         cubature = Cubature(
-            node_indices=_json_array(data, "node_indices", _is_json_integer, "integers", np.int64),
+            node_indices=_json_array(data, "node_indices", _is_integer, "integers", np.int64),
             nodes=_json_array(data, "nodes", _is_json_number, "numbers", float),
             weights=_json_array(data, "weights", _is_json_number, "numbers", float),
             degree=degree,

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    MonomialBasis, MultiIndex, _embed_into, basis_from_config, build_basis, embed_block,
+    MonomialBasis, MultiIndex, _embed_into, _is_integer, basis_from_config, build_basis,
+    embed_block,
 )
 from .measure import (
     _ATOM_BLOCK, DiscreteMeasure, _finite_or_none, _is_json_number, _json_float, _load_json,
@@ -452,9 +453,7 @@ def truncated_moment_feasible(
     expected = set(basis.indices)
     values = {}
     for key, value in moment_values.items():
-        if not isinstance(key, tuple) or any(
-            isinstance(e, bool) or not isinstance(e, (int, np.integer)) for e in key
-        ):
+        if not isinstance(key, tuple) or not all(map(_is_integer, key)):
             raise ValueError(f"moment key {key!r} is not a tuple of integer exponents")
         values[tuple(int(e) for e in key)] = value
     missing = expected - values.keys()

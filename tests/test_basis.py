@@ -145,11 +145,21 @@ class TestBuildBasis:
             (2, [1.5, 1], 2),
             (1, [1], -1),
             (1, [1, 1], 2),
+            (2, None, 1.5),
         ],
     )
     def test_rejects_bad_arguments(self, args):
         with pytest.raises(BasisError):
             build_basis(*args)
+
+    @pytest.mark.parametrize("value, accepted", [
+        (3, True), (np.int64(3), True), (np.uint8(3), True), (10**400, True),
+        (True, False), (np.bool_(True), False), (3.0, False), ("3", False), (None, False),
+    ])
+    def test_one_integer_rule(self, value, accepted):
+        # Basis sizes and degrees, CLI integers, cubature-file integers and
+        # moment-key exponents all pass this one check.
+        assert momcube.basis._is_integer(value) is accepted
 
     def test_dimension_cap(self, monkeypatch):
         monkeypatch.setattr(momcube.basis, "DEFAULT_DIMENSION_CAP", 5000)

@@ -64,16 +64,37 @@ class TestReduceCommand:
         verification = json.loads((out / "verification_report.json").read_text())
         assert verification["max_residual_rel"] <= 1e-8
 
-    def test_reports_agree_on_the_residual(self, tmp_path):
-        data, out = tmp_path / "data", tmp_path / "out"
-        assert main(["gen", "--seed", "5", "--num-atoms", "3000", "--num-vars", "2",
-                     "--out-dir", str(data)]) == 0
-        assert main(["reduce", "--input", str(data / "measure.csv"), "--num-vars", "2",
-                     "--degree", "4", "--out-dir", str(out)]) == 0
-        report = json.loads((out / "reduction_report.json").read_text())
-        verification = json.loads((out / "verification_report.json").read_text())
+    @pytest.mark.parametrize("seed, num_vars, degree, dependent, rank", [
+        (5, 2, 4, False, 15), (7, 4, 5, False, 126), (7, 4, 5, True, 56),
+    ], ids=["d15", "d126", "d126-dependent"])
+    def test_reports_agree_on_the_residual(self, tmp_path, seed, num_vars, degree,
+                                           dependent, rank):
+        # At D = 126, as in the benchmark, the kernel's QR null basis runs on
+        # 252 columns.  "dependent" sets the 4th coordinate to the 1st, so
+        # the feature columns span 56 of the 126 monomials and the null
+        # basis's reflectors meet dependent columns.
+        data = tmp_path / "data"
+        assert main(["gen", "--seed", str(seed), "--num-atoms", "3000",
+                     "--num-vars", str(num_vars), "--out-dir", str(data)]) == 0
+        measure = data / "measure.csv"
+        if dependent:
+            atoms = np.loadtxt(measure, delimiter=",")
+            atoms[:, 3] = atoms[:, 0]
+            np.savetxt(measure, atoms, delimiter=",", fmt="%.17g")
+        common = ["--input", str(measure), "--num-vars", str(num_vars)]
+        assert main(["reduce", *common, "--degree", str(degree),
+                     "--out-dir", str(tmp_path / "r")]) == 0
+        assert main(["verify", *common, "--cubature", str(tmp_path / "r" / "cubature.json"),
+                     "--out-dir", str(tmp_path / "v")]) == 0
+        report, own, verification = (
+            json.loads((tmp_path / name).read_text(), parse_constant=_refuse_constant)
+            for name in ("r/reduction_report.json", "r/verification_report.json",
+                         "v/verification_report.json"))
+        assert report["detected_rank"] == rank and report["final_atoms"] <= rank
+        assert own == verification
         assert report["max_moment_residual_rel"] > 0.0
         assert report["max_moment_residual_rel"] == verification["max_residual_rel"]
+        assert len(report["rescaling"]["shift"]) == len(report["rescaling"]["scale"]) == num_vars
 
     def test_empty_csv_exits_two(self, tmp_path, capsys):
         empty = _write(tmp_path / "empty.csv", "")
@@ -176,6 +197,27 @@ class TestReduceCommand:
         assert "Traceback" not in err and f"key {key!r} appears twice in one object" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--config", "basis-list.json"], "config key 'basis' must hold a JSON object"),
+        (["--config", "adir"], "cannot read config adir: "),
+        (["--input", "adir"], "cannot read adir: "),
+        (["--weights", "1,2,3"], "expected 2 degree weights, got 3"),
+        (["--tol", "abc"], "--tol expects a positive number, got 'abc'"),
+    ], ids=["config-basis-list", "config-directory", "input-directory", "weights-length",
+            "tol-text"])
+    def test_refused_option_exits_two(self, tmp_path, monkeypatch, capsys, args, message):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "plane.csv", "0,0\n1,0\n0,1\n1,1\n")
+        _write(tmp_path / "basis-list.json", '{"basis": [1]}')
+        (tmp_path / "adir").mkdir()
+        code = main(["reduce", "--input", "plane.csv", "--num-vars", "2", "--degree", "2",
+                     "--out-dir", "out", *args])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"momcube reduce: error: {message}" in captured.err
+        assert not (tmp_path / "out" / "cubature.json").exists()
+
 
 class TestMomentsCommand:
     def test_moments_file_feeds_feasible(self, tmp_path, five_atom_csv):
@@ -217,6 +259,14 @@ class TestMomentsCommand:
         assert code == 2
         assert "line 2: non-finite coordinate" in capsys.readouterr().err
 
+    def test_deeply_nested_jsonl_line_exits_two(self, tmp_path, capsys):
+        source = _write(tmp_path / "deep.jsonl", '{"x": %s}\n' % _DEEP)
+        code = main(["moments", "--input", source, "--format", "jsonl",
+                     "--degree", "1", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "line 1: invalid JSON (nested too deeply)" in err
+
 
 class TestFeasibleCommand:
     def _moment_file(self, tmp_path, values):
@@ -236,6 +286,29 @@ class TestFeasibleCommand:
         assert payload["status"] == "infeasible"
         assert payload["certificate"] is not None
         assert payload["margin"] > 0.0 and payload["residual"] > 0.0
+
+    def test_mean_outside_the_grid_exits_one_with_a_finite_certificate(self, tmp_path):
+        # A mean of x = 20 lies outside the grid's box [-10, 10]^3.  The
+        # grid has more than _ATOM_BLOCK points, so the certificate is
+        # re-checked over more than one block of grid columns.
+        data = tmp_path / "data"
+        assert main(["gen", "--seed", "7", "--num-atoms", "5000", "--num-vars", "3",
+                     "--out-dir", str(data)]) == 0
+        assert 5000 > momcube.measure._ATOM_BLOCK
+        grid = str(data / "measure.csv")
+        assert main(["moments", "--input", grid, "--num-vars", "3", "--degree", "3",
+                     "--out-dir", str(tmp_path / "m")]) == 0
+        payload = json.loads((tmp_path / "m" / "moments.json").read_text())
+        payload["moments"]["1,0,0"] = 20 * payload["moments"]["0,0,0"]
+        moments = _write(tmp_path / "outside.json", json.dumps(payload))
+        code = main(["feasible", "--input", moments, "--grid", grid,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        result = json.loads((tmp_path / "out" / "feasibility.json").read_text(),
+                            parse_constant=_refuse_constant)
+        assert result["status"] == "infeasible" and result["certificate"] is not None
+        assert np.isfinite(result["certificate"]["normal"]).all()
+        assert result["margin"] > 0.0
 
     def test_interior_point_witness(self, tmp_path):
         grid = _write(tmp_path / "grid.csv", "-1\n0\n1\n")
@@ -525,6 +598,15 @@ class TestGenCommand:
             "--degree", "2", "--out-dir", str(tmp_path / "red"),
         ]) == 0
 
+    def test_gen_jsonl_feeds_reduce_and_verify(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["gen", "--seed", "7", "--num-atoms", "2000", "--num-vars", "3",
+                     "--format", "jsonl", "--out-dir", str(data)]) == 0
+        common = ["--input", str(data / "measure.jsonl"), "--format", "jsonl", "--num-vars", "3"]
+        assert main(["reduce", *common, "--degree", "3", "--out-dir", str(tmp_path / "r")]) == 0
+        assert main(["verify", *common, "--cubature", str(tmp_path / "r" / "cubature.json"),
+                     "--out-dir", str(tmp_path / "v")]) == 0
+
     def test_gen_is_seed_deterministic(self, tmp_path):
         for name in ("a", "b"):
             assert main([
@@ -612,6 +694,8 @@ class TestOptionTable:
         ("gen", {"unit_weights": "false"}, "--unit-weights"),
         ("gen", {"seed": 1.9}, "--seed"),
         ("reduce", {"tol": True}, "--tol"),
+        ("reduce", {"format": 3}, "--format"),
+        ("reduce", {"input": 5}, "--input"),
     ])
     def test_bad_config_value_names_its_flag(
         self, tmp_path, five_atom_csv, capsys, command, config, flag
@@ -682,6 +766,60 @@ class TestOptionTable:
             "reduce", "--config", config, "--input", five_atom_csv, "--num-vars", "1",
             "--degree", "2", "--out-dir", str(tmp_path / "out"),
         ]) == 0
+
+
+class TestTolerances:
+    """Each tolerance, from its flag or its config key, decides the verdict.
+    ``gen --seed 1`` with 50 atoms in 2 coordinates reduces at degree 2 to a
+    residual of about 3.6e-15 and a mass gap of about 1.4e-16: both pass the
+    defaults (1e-8 and 1e-12), and fail 1e-16 and 1e-17."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        assert main(["gen", "--seed", "1", "--num-atoms", "50", "--num-vars", "2",
+                     "--out-dir", str(tmp_path / "d")]) == 0
+        common = ["--input", str(tmp_path / "d" / "measure.csv"), "--num-vars", "2"]
+        # The default tolerances pass.
+        assert main(["reduce", *common, "--degree", "2", "--out-dir", str(tmp_path / "r")]) == 0
+        assert main(["verify", *common, "--cubature", str(tmp_path / "r" / "cubature.json"),
+                     "--out-dir", str(tmp_path / "v")]) == 0
+        assert main(["moments", *common, "--degree", "2", "--out-dir", str(tmp_path / "m")]) == 0
+        verification = json.loads((tmp_path / "v" / "verification_report.json").read_text())
+        assert 1e-16 < verification["max_residual_rel"] < 1e-8
+        assert 1e-17 < verification["mass_gap_rel"] < 1e-12
+        return tmp_path, common
+
+    @staticmethod
+    def _option(tmp_path, source, flag, value):
+        if source == "flag":
+            return [flag, value]
+        key = momcube.cli._OPTIONS[flag].key
+        return ["--config", _write(tmp_path / "cfg.json", json.dumps({key: float(value)}))]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("flag, value", [("--tol", "1e-16"), ("--mass-tol", "1e-17")])
+    @pytest.mark.parametrize("command", ["reduce", "verify"])
+    def test_tolerance_below_the_error_fails(self, data, capsys, command, flag, value, source):
+        tmp_path, common = data
+        extra = ["--degree", "2"] if command == "reduce" else \
+            ["--cubature", str(tmp_path / "r" / "cubature.json")]
+        capsys.readouterr()
+        code = main([command, *common, *extra, *self._option(tmp_path, source, flag, value),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().out.rstrip().endswith("FAIL")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_feasibility_tolerance_below_the_residual_is_indeterminate(self, data, source):
+        tmp_path, _ = data
+        args = ["--input", str(tmp_path / "m" / "moments.json"),
+                "--grid", str(tmp_path / "d" / "measure.csv")]
+        assert main(["feasible", *args, "--out-dir", str(tmp_path / "default")]) == 0
+        code = main(["feasible", *args, *self._option(tmp_path, source, "--feas-tol", "1e-300"),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 3
+        result = json.loads((tmp_path / "out" / "feasibility.json").read_text())
+        assert result["status"] == "indeterminate" and result["reason"] == "residual_check"
 
 
 class TestByteOrderMark:

@@ -130,6 +130,16 @@ class TestConeMembership:
         assert feasible.weights is not None and feasible.certificate is None
         assert infeasible.weights is None and infeasible.certificate is not None
 
+    @pytest.mark.parametrize("status, weights, certificate, message", [
+        (FeasibilityStatus.FEASIBLE, None, None, "feasible result requires weights"),
+        (FeasibilityStatus.INFEASIBLE, None, None, "infeasible result requires a certificate"),
+        (FeasibilityStatus.FEASIBLE, np.ones(2), SeparatingFunctional(np.ones(2)),
+         "weights and certificate are mutually exclusive"),
+    ], ids=["feasible-without-weights", "infeasible-without-certificate", "both"])
+    def test_result_holds_what_its_status_needs(self, status, weights, certificate, message):
+        with pytest.raises(ValueError, match=message):
+            FeasibilityResult(status, weights, certificate)
+
     def test_no_columns_zero_target_is_feasible(self):
         result = cone_membership(np.zeros(3), np.zeros((3, 0)))
         assert result.status is FeasibilityStatus.FEASIBLE

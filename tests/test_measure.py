@@ -308,6 +308,10 @@ class TestLoadMeasureJsonl:
         with pytest.raises(MeasureFormatError, match="unknown format"):
             load_measure(_csv("1.0\n"), "parquet")
 
+    def test_unsupported_source_rejected(self):
+        with pytest.raises(MeasureFormatError, match="unsupported measure source int"):
+            load_measure(42)
+
 
 class TestLoadJson:
     """``measure._load_json``, the reader of moment, config and cubature files."""
@@ -544,6 +548,10 @@ class TestFeatureMatrix:
         measure = DiscreteMeasure(np.arange(4200.0).reshape(-1, 1), np.ones(4200))
         with pytest.raises(ValueError, match="non-finite value at atom 4100$"):
             moment_vector(measure, FunctionDictionary(1, spiky))
+
+    def test_dictionary_of_size_zero_is_refused(self):
+        with pytest.raises(ValueError, match="size >= 1"):
+            FunctionDictionary(0, lambda x: np.empty(0))
 
     def test_dictionary_wrong_size_rejected(self):
         measure = DiscreteMeasure(np.ones((1, 1)), np.ones(1))

@@ -5,12 +5,14 @@ examples.  It draws the shape of a measure (size, scale, offset, duplicate
 or collinear structure) and a seed; the atoms themselves come from that
 seeded generator, so they are generic within their structure.  Two more
 properties vary the weights alone: scaling them by a power of two, and
-weights from 1e-320 to 1e300.
+weights from 1e-320 to 1e300.  One more test runs the contract on the
+benchmark's D = 126 measures for ten seeds.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +64,19 @@ def test_reduce_meets_the_cubature_contract(case):
     else:
         assert report.tree_levels >= 1
     assert report.elimination_steps <= measure.num_atoms - report.final_atoms
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_reduce_d126_benchmark_measures_meet_the_contract(seed):
+    # The draws of the benchmark's reduce-d126 workload
+    # (perfbench/workloads.py, ReduceD126.setup): 1,000, 1,500 and 3,000
+    # atoms in [-1, 1]^4 from one generator per seed, at D = 126.
+    rng = np.random.default_rng(seed)
+    basis = build_basis(4, None, 5)
+    for num_atoms in (1000, 1500, 3000):
+        atoms = rng.uniform(-1.0, 1.0, size=(num_atoms, 4))
+        weights = rng.uniform(0.1, 2.0, size=num_atoms)
+        _assert_contract(DiscreteMeasure(atoms, weights), basis)
 
 
 def _assert_contract(measure, basis):

@@ -84,6 +84,15 @@ class TestVerifyCubature:
         with pytest.raises(ValueError, match="finite and strictly positive"):
             Cubature([0, 1], [[0.0], [1.0]], [bad, 1.0], None, "x")
 
+    @pytest.mark.parametrize("indices, nodes, weights, message", [
+        ([0, 1], [[0.0]], [1.0, 1.0], "must agree in length"),
+        ([], np.empty((0, 1)), [], "at least one node"),
+        ([1, 1], [[0.0], [0.0]], [1.0, 1.0], "must be distinct"),
+    ], ids=["lengths", "no-nodes", "repeated-index"])
+    def test_cubature_rejects_malformed_nodes(self, indices, nodes, weights, message):
+        with pytest.raises(ValueError, match=message):
+            Cubature(indices, nodes, weights, None, "x")
+
     def test_out_of_range_index_is_an_error(self, grid_measure, grid_basis):
         bad = Cubature(
             node_indices=np.array([0, 99]),
