@@ -39,8 +39,7 @@ The engine has four layers:
   columns: it is the base case, and its reduction ends with the closing
   full-rank check.  The tree holds three numbers per atom of the piece:
   index, weight and group.  Each level builds the feature columns again,
-  4,096 atoms at a time (the base level's at most 2D in one slice), so
-  extra memory is O(D * 4,096) on top.
+  4,096 atoms at a time, so extra memory is O(D * 4,096) on top.
 * ``_sweep`` is the kernel above (the Carathéodory step with a null-space
   update of Maalouf, Jubran & Feldman 2019 and Tchernychova 2016),
   applied to a level's D x n group means, n <= 2D.
@@ -52,10 +51,9 @@ which needs no rank decision; a tree level takes one such factorization
 when no tie occurs.  Every rank decision counts singular values above a
 tolerance: one per kernel round on at most D columns, in ``_null_basis``,
 which is the closing full-rank check and, below full rank, the size of
-the null basis; and the detected rank of the input's feature columns,
-which takes singular vectors only when the first 2D columns have rank
-below D.  Grouping and blocks are fixed and no step is random, so reruns
-are identical.
+the null basis; and one per tree, the detected rank, from the values-only
+SVD of its first level's group means.  Grouping and blocks are fixed and
+no step is random, so reruns are identical.
 
 The public entry points are ``reduce`` and ``cubature_of_degree``.  The
 kernel's steps (``_null_basis``, ``_eliminate``) and the coordinate
@@ -173,9 +171,12 @@ class ReductionReport:
     ``elimination_steps`` counts every pivot the kernel applied on the
     levels' group means, the base levels' single atoms included.
     ``tree_levels`` counts the levels before the base level that removed
-    groups, and ``rank_tol_factor`` is the factor by which the internal
-    rescale loosened every rank decision (1 for dictionaries, which are not
-    rescaled).  ``factorizations`` counts the kernel's QRs and SVDs: a
+    groups.  ``detected_rank`` is the rank of the tree's first level's
+    group means, decided from their singular values and not counted in
+    ``factorizations``: on at most 2D atoms the rank of the atoms' feature
+    columns, and on more a lower bound of it.  ``rank_tol_factor`` is the
+    factor by which the internal rescale loosened every rank decision (1
+    for dictionaries, which are not rescaled).  ``factorizations`` counts the kernel's QRs and SVDs: a
     level above the base takes one QR when no tie occurs, and only a base
     level takes the closing full-rank check, a values-only SVD, with a
     thin SVD after it when the columns are dependent.  ``weight_ratio`` is
@@ -302,42 +303,6 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     zeroed[j_star] = True
     out[zeroed] = 0.0
     return out, j_star
-
-
-class _SpanTracker:
-    """Numerical rank of every feature column fed through the sweep.
-
-    ``b`` is a D x r matrix with b b^T close to the sum of c c^T over the
-    columns added so far.  ``add`` takes the SVD of [b, cols] and keeps the
-    left singular vectors that ``_rank`` counts, each scaled by its singular
-    value; the rank is their count.  The scaling keeps a weak direction's
-    error at the rounding level of the strongest one.  An orthonormal basis
-    would carry an error of eps over the direction's own singular value, and
-    on ordered samples of a curve later columns read that error as new
-    directions.
-
-    The first slice goes to a values-only SVD: when it already has rank D,
-    which generic atoms give, the tracker is full and no singular vector is
-    ever formed.  Only a rank-deficient first slice takes the SVD with U.
-    """
-
-    def __init__(self, dim: int, tol_factor: float = 1.0):
-        self.dim = dim
-        self.tol_factor = tol_factor
-        self.b = np.zeros((dim, 0))
-        self.rank = 0
-
-    def add(self, cols: np.ndarray):
-        if cols.size == 0 or self.rank >= self.dim:
-            return
-        if not self.rank:
-            s = np.linalg.svd(cols, compute_uv=False)
-            if _rank(s, self.dim, self.tol_factor) == self.dim:
-                self.rank = self.dim
-                return
-        u, s, _ = np.linalg.svd(np.hstack([self.b, cols]), full_matrices=False)
-        self.rank = _rank(s, self.dim, self.tol_factor)
-        self.b = u[:, :self.rank] * s[:self.rank]
 
 
 # Above about 1e292 a weight over a direction entry (at least n * eps, see
@@ -478,9 +443,12 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
     in place and adds their per-group sums into the group means.
     ``_sweep`` reduces the means to at most D groups; each atom then gets
     its share of its group's new mass, and atoms left at 0 (a removed
-    group, or an underflow) are dropped.  The first level also feeds a
-    ``_SpanTracker``, in slices of 2D columns, so no pass is spent on the
-    rank alone.
+    group, or an underflow) are dropped.  The tree's detected rank is the
+    ``_rank`` of the first level's group means, from their singular values
+    alone, so no pass is spent on the rank.  On a piece of at most 2D atoms
+    the means are the atoms' own columns; on a larger piece they are
+    positive combinations of them, whose span can be smaller than the
+    atoms'.
 
     A level of more than 2D atoms stops its sweep at D groups, with no
     closing check: they may be dependent, and later levels reduce them
@@ -488,10 +456,9 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
     level.  Its groups hold one atom each, so every share is w / w = 1.0
     exactly and each mean, a sum over one column, equals that atom's
     column (a -0.0 entry reads 0.0): the level is a sweep of the atoms
-    themselves, built in one slice so that the tracker takes them in one
-    SVD, and it runs on to the closing full-rank check.  A level whose
-    group means cancel, so that no group can be removed, gives every atom
-    its weight back and ends the tree with its atoms unreduced.
+    themselves, and it runs on to the closing full-rank check.  A level
+    whose group means cancel, so that no group can be removed, gives every
+    atom its weight back and ends the tree with its atoms unreduced.
     """
     rescale = None
     tol_factor = 1.0
@@ -499,7 +466,6 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
         shift, scale, tol_factor = _rescale(atoms)
         rescale = shift, scale
     dim = feature_count(features)
-    tracker = _SpanTracker(dim, tol_factor)
     pos = np.arange(atoms.shape[0])  # live atom indices
     w = weights.copy()
     levels = 0
@@ -512,20 +478,18 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
         mass = np.add.reduceat(w, bounds[:-1])
         w /= mass[group]  # each atom's share of its group
         means = np.zeros((dim, groups))
-        block = n if base else _ATOM_BLOCK
-        for start in range(0, n, block):
-            stop = min(start + block, n)
+        for start in range(0, n, _ATOM_BLOCK):
+            stop = min(start + _ATOM_BLOCK, n)
             first, last = group[start], group[stop - 1] + 1
             cols = _columns(features, atoms[pos[start:stop]], rescale)
-            if not levels and tracker.rank < dim:
-                # Small slices keep the tracker's SVD workspace O(D^2).
-                for k in range(0, stop - start, groups):
-                    tracker.add(cols[:, k:k + groups])
             cols *= w[start:stop]
             offsets = bounds[first:last] - start  # where each group starts
             offsets[0] = 0
             means[:, first:last] += np.add.reduceat(cols, offsets, axis=1)
             del cols  # freed before the next block is built
+        if not levels:
+            rank = _rank(np.linalg.svd(means, compute_uv=False), dim, tol_factor)
+            totals.rank = max(totals.rank, rank)
         kept, new_mass, s, f = _sweep(means, mass, tol_factor, certify=base)
         totals.steps += s
         totals.factorizations += f
@@ -540,7 +504,6 @@ def _tree(rows, atoms, weights, features: Features, totals: _Totals):
             break  # the base level, or a level that removed no group
         levels += 1
     totals.levels += levels
-    totals.rank = max(totals.rank, tracker.rank)
     totals.tol_factor = max(totals.tol_factor, tol_factor)
     return rows[pos], atoms[pos], w
 
@@ -578,14 +541,11 @@ def _reduce_blocks(
     sums = _MomentSums(features)
     stack = []  # (level, result of 2**level blocks), levels falling to the top
     totals = _Totals()
-    box = None  # per coordinate, the least and the largest value so far
+    bounds = []  # each block's least and largest value per coordinate
     for atoms, weights in blocks:
         offset = sums.count
         sums.add(atoms, weights)
-        lo_hi = np.stack([atoms.min(axis=0), atoms.max(axis=0)])
-        box = lo_hi if box is None else np.stack(
-            [np.minimum(box[0], lo_hi[0]), np.maximum(box[1], lo_hi[1])]
-        )
+        bounds += atoms.min(axis=0), atoms.max(axis=0)
         rows = np.arange(offset, offset + weights.shape[0])
         piece = _tree(rows, atoms, weights, features, totals)
         level = 0
@@ -609,7 +569,7 @@ def _reduce_blocks(
         # The constant monomial is entry 0, so total mass is itself a moment;
         # pin it exactly by one global rescale of the surviving weights.
         w = w * (sums.mass / math.fsum(w.tolist()))
-        shift, scale, _ = _rescale(box)
+        shift, scale, _ = _rescale(np.array(bounds))
         rescale = shift, scale
         rescaling = {"shift": shift.tolist(), "scale": scale.tolist()}
     cubature = Cubature(

@@ -17,7 +17,7 @@ from momcube import (
     verify_cubature,
 )
 from momcube.basis import embed_block
-from momcube.recomb import _eliminate, _null_basis, _SpanTracker, _sweep
+from momcube.recomb import _eliminate, _null_basis, _sweep
 from oracles import enumerate_positive_cubatures, fsum_moments
 
 
@@ -636,6 +636,12 @@ def _on_line(n, offset):
     return np.column_stack([xs, 2.0 * xs + 1.0])
 
 
+def _hermite_grid():
+    """The 4^3 tensor grid of Gauss-Hermite nodes."""
+    x = np.polynomial.hermite_e.hermegauss(4)[0]
+    return np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
 def _on_circle(n):
     t = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return np.column_stack([np.cos(t), np.sin(t)])
@@ -659,11 +665,14 @@ class TestDetectedRank:
         (np.repeat(np.linspace(-3.0, 3.0, 7), 40).reshape(-1, 1), 9, 7),
         # Generic points span every monomial: D = C(4 + 5, 4).
         (np.random.default_rng(5).uniform(-1.0, 1.0, (3000, 4)), 5, 126),
-        # Full rank on the first 2D = 56 columns: the tracker's values-only
-        # path, which forms no singular vector.
+        # Full rank on the first level's 2D = 56 group means.
         (np.random.default_rng(7).uniform(-1.0, 1.0, (500, 2)), 6, 28),
+        # A grouped first level on degenerate atoms: the grid tiled 40 times
+        # and shuffled, 2,560 atoms.  Degree 6 spans the monomials with
+        # every exponent at most 3: 64 less the 10 of degree 7 to 9.
+        (np.random.default_rng(0).permutation(np.tile(_hermite_grid(), (40, 1))), 6, 54),
     ], ids=["line-deg3", "circle-deg2", "circle-deg4", "offset-line-deg2",
-            "repeated-points-deg9", "cube4-deg5", "square2-deg6"])
+            "repeated-points-deg9", "cube4-deg5", "square2-deg6", "hermite-tile-deg6"])
     def test_closed_form_rank(self, atoms, degree, rank):
         num_vars = atoms.shape[1]
         measure = DiscreteMeasure(atoms, np.ones(atoms.shape[0]))
@@ -671,31 +680,14 @@ class TestDetectedRank:
         assert report.detected_rank == rank
         assert cubature.num_nodes <= rank
 
-
-    def test_full_rank_first_slice_forms_no_singular_vectors(self):
-        basis = build_basis(2, [1, 1], 6)
-        cols = embed_block(basis, np.random.default_rng(7).uniform(-1.0, 1.0, (56, 2)))
-        tracker = _SpanTracker(basis.dimension)
-        tracker.add(cols)
-        assert tracker.rank == 28
-        assert tracker.b.shape == (28, 0)
-        tracker.add(cols[:, :5])
-        assert tracker.rank == 28
-
-    def test_rank_deficient_first_slice_keeps_a_scaled_basis(self):
-        # 30 points on the unit circle at degree 4 span 9 of the D = 15
-        # monomials: the first slice takes the SVD with singular vectors,
-        # and the kept basis reproduces the slice's Gram matrix.
-        basis = build_basis(2, [1, 1], 4)
-        cols = embed_block(basis, _on_circle(30))
-        tracker = _SpanTracker(basis.dimension)
-        tracker.add(cols)
-        assert tracker.rank == 9
-        assert tracker.b.shape == (15, 9)
-        np.testing.assert_allclose(tracker.b @ tracker.b.T, cols @ cols.T, atol=1e-12)
-        generic = np.random.default_rng(11).uniform(-1.0, 1.0, (30, 2))
-        tracker.add(embed_block(basis, generic))
-        assert tracker.rank == 15
+    def test_rank_of_grouped_means_on_a_tiled_grid(self):
+        # The grid spans 60 of the D = 120 monomials of degree 7, but the
+        # first level's group means of the unshuffled tile span only 59.
+        # The detected rank is theirs, and the nodes match it.
+        atoms = np.tile(_hermite_grid(), (40, 1))
+        measure = DiscreteMeasure(atoms, np.ones(atoms.shape[0]))
+        cubature, report = cubature_of_degree(measure, 3, [1, 1, 1], 7)
+        assert report.detected_rank == report.final_atoms == 59
 
 
 class TestReduceStreaming:
@@ -883,7 +875,7 @@ class TestTreeMemory:
     def test_dictionary_is_evaluated_at_most_three_times_per_atom(self):
         # The moment target takes one call per atom and the tree levels
         # about two (n + n/2 + n/4 + ...); a separate pass for the rank
-        # tracker would make it four.
+        # would make it four.
         calls = 0
 
         def evaluator(x):

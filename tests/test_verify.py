@@ -77,7 +77,7 @@ class TestVerifyCubature:
         )
         report = verify_cubature(grid_measure, tampered, grid_basis)
         assert not report.support_ok
-        assert not report.passes(1e-8)
+        assert not report.passes(1e-8, 1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
     def test_cubature_rejects_non_finite_or_non_positive_weight(self, bad):
@@ -110,7 +110,7 @@ class TestVerifyCubature:
             grid_measure, _identity_cubature(grid_measure, tiny_basis), tiny_basis
         )
         assert not report.cardinality_ok
-        assert not report.passes(1e-8)
+        assert not report.passes(1e-8, 1e-12)
 
     def test_reduction_output_verifies(self):
         measure = DiscreteMeasure(
