@@ -627,9 +627,3 @@ def moment_vector(measure: DiscreteMeasure, features: Features) -> np.ndarray:
     for atoms, weights in _views(measure):
         sums.add(atoms, weights)
     return sums.moments()
-
-
-def _relative_residuals(achieved: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """|achieved - target| / (1 + |target|) per moment: the residual that
-    ``reduce`` reports and ``verify_cubature`` judges by."""
-    return np.abs(achieved - target) / (1.0 + np.abs(target))

@@ -88,11 +88,6 @@ from .verify import VerificationReport, _verification
 from .measure import moment_vector  # noqa: F401
 
 _EPS = np.finfo(float).eps
-# The ufunc reductions behind ndarray.any and .max, called directly: the
-# same results without the method wrappers, which cost as much as the work
-# on the kernel's vectors of at most 2D entries.
-_any = np.logical_or.reduce
-_max = np.maximum.reduce
 # Null vectors per block of the kernel's delayed update (see ``_sweep``).
 _BLOCK = 16
 
@@ -257,9 +252,8 @@ def _null_basis(cols: np.ndarray, tol_factor: float) -> np.ndarray:
     diagonal = np.diag_indices(nrows)
     vt[diagonal] = 1.0
     identity = tau == 0.0
-    if _any(identity):
-        vt[identity] = 0.0
-        tau = np.where(identity, 1.0, tau)
+    vt[identity] = 0.0
+    tau = np.where(identity, 1.0, tau)
     t_inv = np.triu(vt @ vt.T, 1)
     t_inv[diagonal] = 1.0 / tau
     # Rows of (Q E)^T = E^T - (T V[D:]^T)^T V^T, C-contiguous for ``_sweep``.
@@ -285,7 +279,7 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     """
     floor = c.shape[0] * _EPS
     pos = c > floor
-    if not _any(pos):
+    if not pos.any():
         c = -c
         pos = c > floor
     ratio = np.full(c.shape[0], np.inf)
@@ -296,10 +290,7 @@ def _eliminate(w: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, int]:
     # Entries tying with the minimizer up to rounding are debris from earlier
     # float steps; in exact arithmetic they would be zero, so zero them.  The
     # threshold is nonnegative, so this also zeroes every negative entry.
-    thresh = np.abs(shift, out=shift)
-    thresh += np.abs(w, out=ratio)
-    thresh *= 32.0 * _EPS
-    zeroed = out <= thresh
+    zeroed = out <= (np.abs(shift) + np.abs(w)) * (32.0 * _EPS)
     zeroed[j_star] = True
     out[zeroed] = 0.0
     return out, j_star
@@ -361,16 +352,13 @@ def _sweep(cols: np.ndarray, weights: np.ndarray, tol_factor: float, *, certify:
             break  # full rank: the closing check
         if idx.shape[0] <= nrows:
             factorizations += 1  # the thin SVD after the closing check
-        # Scratch for every step of the round.
-        size = count = idx.shape[0]
-        magnitude = np.empty(size)
-        buf = np.empty((_BLOCK - 1, size))
+        count = idx.shape[0]
         pivots = np.empty(_BLOCK, dtype=np.intp)
         tie = False
         for start in range(0, null.shape[0], _BLOCK):
             block = null[start:start + _BLOCK]
             for b, c in enumerate(block):
-                c /= _max(np.abs(c, out=magnitude))
+                c /= np.abs(c).max()
                 new_w, j_star = _eliminate(w, c)
                 left = int(np.count_nonzero(new_w))
                 if not left:
@@ -386,9 +374,7 @@ def _sweep(cols: np.ndarray, weights: np.ndarray, tol_factor: float, *, certify:
                 count = left
                 pivots[b] = j_star
                 rest = block[b + 1:]
-                update = buf[:rest.shape[0]]
-                np.multiply.outer(rest[:, j_star] / c[j_star], c, out=update)
-                rest -= update
+                rest -= np.multiply.outer(rest[:, j_star] / c[j_star], c)
                 rest[:, j_star] = 0.0
             if tie:
                 break

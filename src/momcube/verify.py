@@ -3,10 +3,8 @@
 Everything is recomputed from scratch in original coordinates with
 compensated summation: this module must not inherit any state (rescaling,
 cached features) from the engine that produced the cubature, otherwise it
-would inherit its errors too.  It shares only the residual function,
-``measure._relative_residuals``, a pure function of two moment vectors.
-``verify_cubature`` takes no tolerance: its report carries the raw
-residuals and flags, and callers judge it with
+would inherit its errors too.  ``verify_cubature`` takes no tolerance: its
+report carries the raw residuals and flags, and callers judge it with
 ``VerificationReport.passes(tol, mass_tol)``.
 
 The measure's side is one pass in blocks (``_verify_blocks``): moments and
@@ -35,7 +33,6 @@ from .measure import (
     Features,
     _finite_or_none,
     _MomentSums,
-    _relative_residuals,
     _views,
     feature_count,
     moment_vector,
@@ -84,13 +81,6 @@ class VerificationReport:
         }
 
 
-def _check_indices(idx: np.ndarray, num_atoms: int):
-    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= num_atoms:
-        raise IndexError(
-            f"cubature references atom indices outside 0..{num_atoms - 1}"
-        )
-
-
 def verify_cubature(
     measure: DiscreteMeasure,
     cubature: Cubature,
@@ -118,7 +108,10 @@ def _verify_blocks(blocks, cubature: Cubature, features: Features) -> Verificati
         here = (idx >= sums.count) & (idx < sums.count + weights.shape[0])
         rows[here] = atoms[idx[here] - sums.count]
         sums.add(atoms, weights)
-    _check_indices(idx, sums.count)
+    if idx.min(initial=0) < 0 or idx.max(initial=-1) >= sums.count:
+        raise IndexError(
+            f"cubature references atom indices outside 0..{sums.count - 1}"
+        )
     return _verification(sums, rows, cubature, features)
 
 
@@ -132,7 +125,8 @@ def _verification(
     # identity cubature compares bitwise equal and reports zero residual.
     node_measure = DiscreteMeasure(atoms=cubature.nodes, weights=cubature.weights)
     achieved = moment_vector(node_measure, features)
-    residual = _relative_residuals(achieved, target)
+    # The residual that ``reduce`` reports and ``verify_cubature`` judges by.
+    residual = np.abs(achieved - target) / (1.0 + np.abs(target))
 
     support_ok = bool(np.array_equal(cubature.nodes, rows))
     weights_positive = bool((cubature.weights > 0.0).all())

@@ -606,8 +606,8 @@ class TestBlockedUpdate:
             rounds.append([live.shape[1], 0, 0])
             return null_basis(live, tol_factor)
 
-        def logged_eliminate(w, c, *scratch):
-            out, j_star = eliminate(w, c, *scratch)
+        def logged_eliminate(w, c):
+            out, j_star = eliminate(w, c)
             rounds[-1][1] += 1
             rounds[-1][2] += int(np.count_nonzero(w > 0.0) - np.count_nonzero(out > 0.0))
             return out, j_star
