@@ -92,9 +92,10 @@ class MonomialBasis:
         }
 
 
-def _count_indices(weights: tuple[int, ...], m: int, cap: int) -> int:
-    """Number of exponent tuples with weighted degree <= m, or a number
-    above ``cap`` as soon as there are more than that.
+def _count_indices(weights: tuple[int, ...], m: int, cap: int) -> tuple[int, dict[int, int]]:
+    """``(total, counts)``: the number of exponent tuples with weighted
+    degree <= m, or a number above ``cap`` as soon as there are more than
+    that, and the number of each degree that has any (partial past ``cap``).
 
     ``counts`` holds the tuples over the coordinates seen so far by exact
     degree; a coordinate of weight k adds a * k to each of them, a >= 1.
@@ -109,8 +110,8 @@ def _count_indices(weights: tuple[int, ...], m: int, cap: int) -> int:
                 counts[e] = counts.get(e, 0) + c
                 total += c
                 if total > cap:
-                    return total
-    return total
+                    return total, counts
+    return total, counts
 
 
 def _check_size(entries: int, num_vars: int, cap: int):
@@ -127,50 +128,39 @@ def _check_size(entries: int, num_vars: int, cap: int):
 
 def _enumerate_indices(
     weights: tuple[int, ...], m: int, cap: int
-) -> list[tuple[MultiIndex, int]]:
-    """All exponent tuples with weighted degree <= m in graded-lex order,
-    each with its first nonzero coordinate (0 for the constant).
+) -> tuple[list[MultiIndex], list[tuple[int, int]]]:
+    """``(indices, recurrence)``: all exponent tuples with weighted degree
+    <= m in graded-lex order, and for each after the constant (position of
+    the tuple one unit lower at its first nonzero coordinate i, i).
 
     BasisError past ``cap`` entries or ``32 * cap`` exponent cells (entries
-    times N), before any tuple is built.  The tuples are visited in
-    lexicographic order without recursion, as an odometer: the next tuple
-    adds one unit to the last coordinate that can take it once every later
-    coordinate is 0.  Each goes to its degree's list, and the lists in
-    degree order are the graded-lex order, with no sort.
+    times N), before any tuple is built.  Each counted degree d is built in
+    ascending order, without recursion: for i from N - 1 down to 0, each
+    tuple of degree d - k_i whose first nonzero coordinate is i or later (N
+    for the constant) gains one unit at i.  Those tuples are a prefix of
+    their layer, and the results come out in lexicographic order.
     """
     n = len(weights)
-    _check_size(_count_indices(weights, m, min(cap, 32 * cap // n)), n, cap)
-    suffix_min = list(weights)  # the least weight from each coordinate on
-    for j in range(n - 2, -1, -1):
-        suffix_min[j] = min(suffix_min[j], suffix_min[j + 1])
-    by_degree: dict[int, list[tuple[MultiIndex, int]]] = {}
-    alpha = [0] * n
-    nonzero: list[int] = []  # coordinates with a nonzero exponent, ascending
-    degree = 0
-    while True:
-        by_degree.setdefault(degree, []).append((tuple(alpha), nonzero[0] if nonzero else 0))
-        # Coordinates after the last nonzero one are 0, so a unit fits at j
-        # (not before that one) when weights[j] <= m - degree.
-        last = nonzero[-1] if nonzero else 0
-        j = n - 1 if suffix_min[last] <= m - degree else -1
-        while j >= last and weights[j] > m - degree:
-            j -= 1
-        while j < last:
-            if not nonzero:
-                return [entry for d in sorted(by_degree) for entry in by_degree[d]]
-            # Nothing fits from ``last`` on: zero it, and find the last
-            # coordinate before it that takes a unit.
-            p = nonzero.pop()
-            degree -= weights[p] * alpha[p]
-            alpha[p] = 0
-            last = nonzero[-1] if nonzero else 0
-            j = p - 1
-            while j >= last and weights[j] > m - degree:
-                j -= 1
-        if not alpha[j]:
-            nonzero.append(j)
-        alpha[j] += 1
-        degree += weights[j]
+    total, counts = _count_indices(weights, m, min(cap, 32 * cap // n))
+    _check_size(total, n, cap)
+    indices: list[MultiIndex] = [(0,) * n]
+    recurrence: list[tuple[int, int]] = []
+    # Each built degree: the position of its first tuple, and the first
+    # nonzero coordinate of each of its tuples, non-increasing.
+    layers = {0: (0, [n])}
+    for d in sorted(counts)[1:]:
+        layer = (len(indices), [])
+        for i in range(n - 1, -1, -1):
+            start, firsts = layers.get(d - weights[i], (0, ()))
+            for p, first in enumerate(firsts, start):
+                if first < i:
+                    break
+                a = indices[p]
+                indices.append(a[:i] + (a[i] + 1,) + a[i + 1:])
+                recurrence.append((p, i))
+                layer[1].append(i)
+        layers[d] = layer
+    return indices, recurrence
 
 
 def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
@@ -204,14 +194,7 @@ def build_basis(num_vars: int, weights, max_degree: int) -> MonomialBasis:
         raise BasisError(f"degree weights must be a list, got {weights!r}") from None
     degree_fn = DegreeFunction(n, weights)
 
-    entries = _enumerate_indices(degree_fn.weights, m, DEFAULT_DIMENSION_CAP)
-    indices = [a for a, _ in entries]
-    position = {a: j for j, a in enumerate(indices)}
-    recurrence: list[tuple[int, int]] = []
-    for a, i in entries[1:]:
-        parent = a[:i] + (a[i] - 1,) + a[i + 1:]
-        recurrence.append((position[parent], i))
-
+    indices, recurrence = _enumerate_indices(degree_fn.weights, m, DEFAULT_DIMENSION_CAP)
     return MonomialBasis(
         degree_fn=degree_fn,
         max_degree=m,

@@ -21,7 +21,6 @@ grid whole, since the feasibility system holds every grid point.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -209,9 +208,14 @@ def _read_input(cfg: argparse.Namespace) -> tuple[int, Iterator]:
         except OSError as exc:
             raise CliError(f"cannot read {cfg.input}: {exc}") from exc
 
+    def chained(block):
+        yield block
+        del block  # held no longer than the caller holds it
+        yield from reader
+
     reader = blocks()
     first = next(reader)
-    return first[0].shape[1], itertools.chain([first], reader)
+    return first[0].shape[1], chained(first)
 
 
 def _require_basis(cfg: argparse.Namespace, num_vars: int) -> MonomialBasis:
@@ -269,6 +273,7 @@ def cmd_moments(cfg: argparse.Namespace) -> int:
     try:
         for atoms, weights in blocks:
             sums.add(atoms, weights)
+            del atoms, weights  # not held while the next block is read
         moments = sums.moments()
     except ValueError as exc:
         raise CliError(f"{cfg.input}: {exc}") from exc

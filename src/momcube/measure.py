@@ -404,6 +404,7 @@ def _csv_blocks(text_file, num_vars, rows):
             break
         delivered += weights.shape[0]
         yield atoms, weights
+        del data, atoms, weights  # not held while the next block is parsed
     else:
         return  # the end of the file, with every row parsed in blocks
     # tell() is unavailable once a text file has been iterated, so the line
@@ -472,6 +473,7 @@ def _read_blocks(
         for block in blocks:
             empty = False
             yield block
+            del block
     if empty:
         raise MeasureFormatError("no atoms in input")
 

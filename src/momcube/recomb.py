@@ -539,6 +539,7 @@ def _reduce_blocks(
             piece = _tree(*map(np.concatenate, zip(stack.pop()[1], piece)), features, totals)
             level += 1
         stack.append((level, piece))
+        del atoms, weights  # not held while the next block is read
     _, piece = stack.pop()
     while stack:
         piece = _tree(*map(np.concatenate, zip(stack.pop()[1], piece)), features, totals)

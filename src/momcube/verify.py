@@ -108,6 +108,7 @@ def _verify_blocks(blocks, cubature: Cubature, features: Features) -> Verificati
         here = (idx >= sums.count) & (idx < sums.count + weights.shape[0])
         rows[here] = atoms[idx[here] - sums.count]
         sums.add(atoms, weights)
+        del atoms, weights  # not held while the next block is read
     if idx.min(initial=0) < 0 or idx.max(initial=-1) >= sums.count:
         raise IndexError(
             f"cubature references atom indices outside 0..{sums.count - 1}"

@@ -70,7 +70,15 @@ class TestBuildBasis:
 
         grid = itertools.product(*(range(m // k + 1) for k in weights))
         reference = sorted((a for a in grid if degree(a) <= m), key=lambda a: (degree(a), a))
-        assert build_basis(len(weights), list(weights), m).indices == tuple(reference)
+        basis = build_basis(len(weights), list(weights), m)
+        assert basis.indices == tuple(reference)
+        # Entry j is entry p times x_i, where i is entry j's first nonzero
+        # coordinate.
+        for alpha, (p, i) in zip(basis.indices[1:], basis._recurrence, strict=True):
+            step = list(basis.indices[p])
+            step[i] += 1
+            assert tuple(step) == alpha
+            assert alpha[:i] == (0,) * i and alpha[i] > 0
 
     def test_five_thousand_coordinates(self):
         # One loop, no recursion per coordinate: the constant, then x_i in
