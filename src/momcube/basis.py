@@ -149,17 +149,17 @@ def _enumerate_indices(
     # nonzero coordinate of each of its tuples, non-increasing.
     layers = {0: (0, [n])}
     for d in sorted(counts)[1:]:
-        layer = (len(indices), [])
+        start, firsts = len(indices), []
         for i in range(n - 1, -1, -1):
-            start, firsts = layers.get(d - weights[i], (0, ()))
-            for p, first in enumerate(firsts, start):
+            lower_start, lower_firsts = layers.get(d - weights[i], (0, ()))
+            for p, first in enumerate(lower_firsts, lower_start):
                 if first < i:
                     break
                 a = indices[p]
                 indices.append(a[:i] + (a[i] + 1,) + a[i + 1:])
                 recurrence.append((p, i))
-                layer[1].append(i)
-        layers[d] = layer
+                firsts.append(i)
+        layers[d] = start, firsts
     return indices, recurrence
 
 
